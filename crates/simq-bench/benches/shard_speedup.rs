@@ -1,25 +1,28 @@
 //! Sharded relations: insert throughput and query fan-out at 1, 2 and 4
-//! shards over the random-walk corpus.
+//! shards over the random-walk corpus. The shard count is a parameter of
+//! one relation shape (a relation with one tree per shard; 1 shard is
+//! the unsharded case), so every point runs the same code.
 //!
 //! Three measurements:
 //!
 //! * `insert` — appending rows through the catalog
-//!   (`StoredRelation::insert`): unsharded inserts mutate one monolithic
-//!   R*-tree; sharded inserts route to one per-shard tree `shards`×
-//!   smaller. Insertion cost is dominated by tree *height*, so at sizes
-//!   where sharding does not change the height the per-insert times are
-//!   close — the structural win (one small tree touched, natural units
-//!   for future concurrent writers) is reported via the printed per-shard
-//!   row counts, and the time gap widens once the monolithic tree is a
-//!   level taller than the shard trees.
+//!   (`StoredRelation::insert`): each insert routes to the owning shard's
+//!   tree, which at 1 shard is one monolithic R*-tree and at `shards`
+//!   shards is `shards`× smaller. Insertion cost is dominated by tree
+//!   *height*, so at sizes where sharding does not change the height the
+//!   per-insert times are close — the structural win (one small tree
+//!   touched, natural units for future concurrent writers) is reported
+//!   via the printed per-shard row counts, and the time gap widens once
+//!   the monolithic tree is a level taller than the shard trees.
 //! * `index_range` / `index_knn` — the transformed R*-tree paths at 4
-//!   threads: shards are the parallel work units (range fans one worker
+//!   threads: one shard runs the tree's own parallel traversal; several
+//!   shards are the parallel work units instead (range fans one worker
 //!   per shard; kNN runs one best-first search over the forest with a
 //!   shared k-th-best bound), so wall-clock scaling tracks core count on
 //!   real hardware. Single-core CI shows parity, not regression — the
 //!   per-shard counters printed below demonstrate the fan-out either way.
 //!
-//! Sharded results are bitwise identical to unsharded execution
+//! Results are bitwise identical at every shard count
 //! (`tests/shard_equivalence.rs`); these benches measure only the cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -30,12 +30,14 @@
 //!   per-query pruning bounds. Per-query answers equal the individual
 //!   traversals; shared node reads are counted once.
 //! * [`cursor`] — incremental range traversal: an explicit-stack
-//!   [`RangeStream`] that yields matching ids one at a time, so early
-//!   termination (drop, `LIMIT`) abandons the remaining descent; the
-//!   [`ShardedRangeStream`] walks a forest of shard trees the same way.
-//! * [`shard`] — multi-shard search entry points: range queries fanned
-//!   out over one tree per shard, and best-first kNN over the whole
-//!   forest with a shared `k`-th-best bound pruning every shard at once.
+//!   [`RangeStream`] over one tree or a forest of shard trees that yields
+//!   matching ids one at a time, so early termination (drop, `LIMIT`)
+//!   abandons the remaining descent.
+//! * [`shard`] — the search entry points over a relation's trees (one
+//!   per shard, one when unsharded): range queries fanned out per shard,
+//!   best-first kNN over the whole forest with a shared `k`-th-best bound
+//!   pruning every shard at once, and batched traversals per tree. Each
+//!   picks per-tree threading (one tree) or per-shard fan-out (several).
 //! * [`serial`] — binary serialization of the full tree structure (node
 //!   arena, geometry, free list), so persisted databases reopen without
 //!   re-bulk-loading and reproduce the identical tree.
@@ -56,7 +58,7 @@ pub mod shard;
 pub mod transform;
 
 pub use batch::{MultiKnnQuery, MultiRangeQuery, MultiSearchStats};
-pub use cursor::{RangeStream, ShardedRangeStream};
+pub use cursor::RangeStream;
 pub use geom::{circular_overlap, DimSemantics, Rect, Space};
 pub use knn::Neighbor;
 pub use parallel::ParallelStats;

@@ -45,9 +45,8 @@ use simq_index::batch::{MultiKnnQuery, MultiRangeQuery};
 use simq_index::Rect;
 use simq_obs::span;
 use simq_series::transform::SeriesTransform;
-use simq_storage::multi::{
-    scan_knn_multi, scan_range_multi, MultiScanKnnQuery, MultiScanRangeQuery,
-};
+use simq_storage::multi::{MultiScanKnnQuery, MultiScanRangeQuery};
+use simq_storage::shard::{scan_knn_multi_sharded, scan_range_multi_sharded};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering as AtomicOrdering;
 
@@ -468,7 +467,8 @@ impl<'a> BatchExecutor<'a> {
                 rect: &p.rect,
             })
             .collect();
-        let (candidates, search) = multi_range_over(stored, &multi, threads);
+        let (candidates, search) =
+            simq_index::shard::multi_range_sharded(stored.indexes(), &multi, threads);
         batch.merged.nodes_visited += search.merged.nodes_visited;
         batch.merged.leaves_visited += search.merged.leaves_visited;
         batch.merged.entries_tested += search.merged.entries_tested;
@@ -519,7 +519,7 @@ impl<'a> BatchExecutor<'a> {
                 leaves_visited: search.per_query[qi].leaves_visited,
                 entries_tested: search.per_query[qi].entries_tested,
                 candidates: ids.len() as u64,
-                shards_touched: shards_touched(stored),
+                shards_touched: stored.shards_touched(),
                 ..ExecStats::default()
             };
             batch.merged.candidates += stats.candidates;
@@ -631,7 +631,7 @@ impl<'a> BatchExecutor<'a> {
                 eps: p.eps,
             })
             .collect();
-        let scanned = match scan_range_multi_over(stored, &multi, true, threads) {
+        let scanned = match scan_range_multi_sharded(stored.relation(), &multi, true, threads) {
             Ok(r) => r,
             Err(e) => {
                 // Per-query transform errors were already caught by
@@ -669,7 +669,7 @@ impl<'a> BatchExecutor<'a> {
                 candidates: per.rows_scanned,
                 verified: hits.len() as u64,
                 threads_used: threads as u64,
-                shards_touched: shards_touched(stored),
+                shards_touched: stored.shards_touched(),
                 ..ExecStats::default()
             };
             slots[p.slot] = Some(Ok(QueryResult {
@@ -764,7 +764,8 @@ impl<'a> BatchExecutor<'a> {
                 k: p.k,
             })
             .collect();
-        let (step1, s1) = multi_nearest_over(stored, &knn_queries, threads);
+        let (step1, s1) =
+            simq_index::shard::multi_nearest_by_sharded(stored.indexes(), &knn_queries, threads);
         merged.nodes_visited += s1.merged.nodes_visited;
         merged.leaves_visited += s1.merged.leaves_visited;
         merged.entries_tested += s1.merged.entries_tested;
@@ -810,7 +811,8 @@ impl<'a> BatchExecutor<'a> {
                 rect: &radii[qi].as_ref().expect("filtered to present").1,
             })
             .collect();
-        let (candidates, s2) = multi_range_over(stored, &multi, threads);
+        let (candidates, s2) =
+            simq_index::shard::multi_range_sharded(stored.indexes(), &multi, threads);
         merged.nodes_visited += s2.merged.nodes_visited;
         merged.leaves_visited += s2.merged.leaves_visited;
         merged.entries_tested += s2.merged.entries_tested;
@@ -885,7 +887,7 @@ impl<'a> BatchExecutor<'a> {
             let mut stats = p.stats;
             stats.verified = hits.len() as u64;
             stats.threads_used = threads as u64;
-            stats.shards_touched = shards_touched(stored);
+            stats.shards_touched = stored.shards_touched();
             slots[p.slot] = Some(Ok(QueryResult {
                 output: QueryOutput::Hits(hits),
                 plan: plans[p.slot].clone().expect("grouped query has a plan"),
@@ -945,15 +947,16 @@ impl<'a> BatchExecutor<'a> {
                 k: p.k,
             })
             .collect();
-        let (hit_lists, scan_stats) = match scan_knn_multi_over(stored, &multi, threads) {
-            Ok(r) => r,
-            Err(e) => {
-                for p in &prepared {
-                    slots[p.slot] = Some(Err(QueryError::Series(e.clone())));
+        let (hit_lists, scan_stats) =
+            match scan_knn_multi_sharded(stored.relation(), &multi, threads) {
+                Ok(r) => r,
+                Err(e) => {
+                    for p in &prepared {
+                        slots[p.slot] = Some(Err(QueryError::Series(e.clone())));
+                    }
+                    return;
                 }
-                return;
-            }
-        };
+            };
         merged.rows_scanned += scan_stats.merged.rows_scanned;
         merged.coefficients_compared += scan_stats.merged.coefficients_compared;
 
@@ -974,7 +977,7 @@ impl<'a> BatchExecutor<'a> {
                 candidates: per.rows_scanned,
                 verified: hits.len() as u64,
                 threads_used: threads as u64,
-                shards_touched: shards_touched(stored),
+                shards_touched: stored.shards_touched(),
                 ..ExecStats::default()
             };
             slots[p.slot] = Some(Ok(QueryResult {
@@ -984,189 +987,6 @@ impl<'a> BatchExecutor<'a> {
                 per_thread: Vec::new(),
                 per_shard: Vec::new(),
             }));
-        }
-    }
-}
-
-/// What a grouped query's `ExecStats::shards_touched` reports: the shard
-/// count for sharded relations, 0 for the single form — the same value
-/// individual execution stamps.
-fn shards_touched(stored: &StoredRelation) -> u64 {
-    match stored {
-        StoredRelation::Single { .. } => 0,
-        StoredRelation::Sharded { relation, .. } => relation.shard_count() as u64,
-    }
-}
-
-/// The stored relation's trees: one for the single form, one per shard
-/// for the sharded one.
-fn stored_trees(stored: &StoredRelation) -> Vec<&simq_index::RTree> {
-    match stored {
-        StoredRelation::Single { index, .. } => {
-            vec![index.as_ref().expect("planned index exists")]
-        }
-        StoredRelation::Sharded { indexes, .. } => indexes.iter().collect(),
-    }
-}
-
-/// One shared batched range traversal per tree (one tree for the single
-/// form, one per shard for the sharded one — the batch's per-shard work
-/// units), per-query candidate lists concatenated across shards.
-fn multi_range_over(
-    stored: &StoredRelation,
-    multi: &[MultiRangeQuery],
-    threads: usize,
-) -> (Vec<Vec<u64>>, simq_index::MultiSearchStats) {
-    let trees = stored_trees(stored);
-    if trees.len() == 1 {
-        let tree = trees[0];
-        return if threads > 1 {
-            tree.multi_range_parallel(multi, threads)
-        } else {
-            tree.multi_range(multi)
-        };
-    }
-    let mut out: Vec<Vec<u64>> = vec![Vec::new(); multi.len()];
-    let mut stats = simq_index::MultiSearchStats::default();
-    for tree in trees {
-        let (cands, s) = if threads > 1 {
-            tree.multi_range_parallel(multi, threads)
-        } else {
-            tree.multi_range(multi)
-        };
-        for (acc, ids) in out.iter_mut().zip(cands) {
-            acc.extend(ids);
-        }
-        stats.add(&s);
-    }
-    (out, stats)
-}
-
-/// One shared-pool batched kNN per tree; per-query candidates merged
-/// across shards by `(bound, id)` and truncated back to each query's `k`.
-/// Leaf bounds depend only on the item, so the merged per-query lists
-/// equal the single-tree ones.
-fn multi_nearest_over(
-    stored: &StoredRelation,
-    queries: &[MultiKnnQuery],
-    threads: usize,
-) -> (Vec<Vec<simq_index::Neighbor>>, simq_index::MultiSearchStats) {
-    let trees = stored_trees(stored);
-    if trees.len() == 1 {
-        return trees[0].multi_nearest_by(queries, threads);
-    }
-    let mut per_query: Vec<Vec<simq_index::Neighbor>> = vec![Vec::new(); queries.len()];
-    let mut stats = simq_index::MultiSearchStats::default();
-    for tree in trees {
-        let (step, s) = tree.multi_nearest_by(queries, threads);
-        for (acc, mut nbs) in per_query.iter_mut().zip(step) {
-            acc.append(&mut nbs);
-        }
-        stats.add(&s);
-    }
-    for (q, acc) in queries.iter().zip(per_query.iter_mut()) {
-        acc.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
-        acc.truncate(q.k);
-    }
-    (per_query, stats)
-}
-
-fn add_scan_stats(acc: &mut simq_storage::ScanStats, s: &simq_storage::ScanStats) {
-    acc.rows_scanned += s.rows_scanned;
-    acc.coefficients_compared += s.coefficients_compared;
-    acc.early_abandoned += s.early_abandoned;
-}
-
-fn merge_multi_scan_stats(
-    acc: &mut simq_storage::MultiScanStats,
-    s: &simq_storage::MultiScanStats,
-) {
-    add_scan_stats(&mut acc.merged, &s.merged);
-    if acc.per_query.len() < s.per_query.len() {
-        acc.per_query
-            .resize(s.per_query.len(), simq_storage::ScanStats::default());
-    }
-    for (a, b) in acc.per_query.iter_mut().zip(&s.per_query) {
-        add_scan_stats(a, b);
-    }
-}
-
-/// One shared scan pass per store (the whole relation, or each shard),
-/// per-query hit lists concatenated across shards.
-#[allow(clippy::type_complexity)]
-fn scan_range_multi_over(
-    stored: &StoredRelation,
-    multi: &[MultiScanRangeQuery],
-    early_abandon: bool,
-    threads: usize,
-) -> Result<
-    (
-        Vec<Vec<simq_storage::ScanHit>>,
-        simq_storage::MultiScanStats,
-    ),
-    simq_series::error::SeriesError,
-> {
-    match stored {
-        StoredRelation::Single { relation, .. } => {
-            scan_range_multi(relation, multi, early_abandon, threads)
-        }
-        StoredRelation::Sharded { relation, .. } => {
-            let mut out: Vec<Vec<simq_storage::ScanHit>> = vec![Vec::new(); multi.len()];
-            let mut stats = simq_storage::MultiScanStats::default();
-            for shard in relation.shards() {
-                let (hits, s) = scan_range_multi(shard, multi, early_abandon, threads)?;
-                for (acc, h) in out.iter_mut().zip(hits) {
-                    acc.extend(h);
-                }
-                merge_multi_scan_stats(&mut stats, &s);
-            }
-            Ok((out, stats))
-        }
-    }
-}
-
-/// One shared kNN scan pass per store; per-query shard top-`k` lists
-/// merged by `(distance, id)` and truncated back to `k` — any global
-/// top-`k` row is in its shard's top-`k`, so the merge loses nothing.
-#[allow(clippy::type_complexity)]
-fn scan_knn_multi_over(
-    stored: &StoredRelation,
-    multi: &[MultiScanKnnQuery],
-    threads: usize,
-) -> Result<
-    (
-        Vec<Vec<simq_storage::ScanHit>>,
-        simq_storage::MultiScanStats,
-    ),
-    simq_series::error::SeriesError,
-> {
-    match stored {
-        StoredRelation::Single { relation, .. } => scan_knn_multi(relation, multi, threads),
-        StoredRelation::Sharded { relation, .. } => {
-            let mut out: Vec<Vec<simq_storage::ScanHit>> = vec![Vec::new(); multi.len()];
-            let mut stats = simq_storage::MultiScanStats::default();
-            for shard in relation.shards() {
-                let (hits, s) = scan_knn_multi(shard, multi, threads)?;
-                for (acc, h) in out.iter_mut().zip(hits) {
-                    acc.extend(h);
-                }
-                merge_multi_scan_stats(&mut stats, &s);
-            }
-            for (q, acc) in multi.iter().zip(out.iter_mut()) {
-                acc.sort_by(|a, b| {
-                    a.distance
-                        .partial_cmp(&b.distance)
-                        .expect("finite distances")
-                        .then(a.id.cmp(&b.id))
-                });
-                acc.truncate(q.k);
-            }
-            Ok((out, stats))
         }
     }
 }

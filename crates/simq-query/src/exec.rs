@@ -117,8 +117,8 @@ fn fold_exec(per: &mut Vec<ExecStats>, phase: &[ExecStats]) {
     }
 }
 
-/// Folds one parallel phase's per-thread search counters into the
-/// query-level per-thread accumulators.
+/// Folds one phase's per-thread (or per-shard) search counters into the
+/// query-level accumulators.
 fn fold_search(per: &mut Vec<ExecStats>, phase: &[simq_index::SearchStats]) {
     if per.len() < phase.len() {
         per.resize(phase.len(), ExecStats::default());
@@ -128,35 +128,13 @@ fn fold_search(per: &mut Vec<ExecStats>, phase: &[simq_index::SearchStats]) {
     }
 }
 
-/// Folds one parallel phase's per-thread scan counters.
+/// Folds one phase's per-thread (or per-shard) scan counters.
 fn fold_scan(per: &mut Vec<ExecStats>, phase: &[scan::ScanStats]) {
     if per.len() < phase.len() {
         per.resize(phase.len(), ExecStats::default());
     }
     for (acc, s) in per.iter_mut().zip(phase) {
         acc.add_scan(s);
-    }
-}
-
-/// Folds one sharded phase's per-shard search counters into the
-/// query-level per-shard accumulators.
-fn fold_shard_search(per: &mut Vec<ExecStats>, phase: &[simq_index::SearchStats]) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        acc.add_search(s);
-    }
-}
-
-/// Folds one sharded phase's per-shard scan counters.
-fn fold_shard_scan(per: &mut Vec<ExecStats>, phase: &[scan::ScanStats]) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        acc.rows_scanned += s.rows_scanned;
-        acc.coefficients_compared += s.coefficients_compared;
     }
 }
 
@@ -615,7 +593,10 @@ fn range(
     let n = stored.series_len();
     let q_spec: &[Complex] = &ctx.spectrum;
     let threads = the_plan.threads.max(1);
-    let mut stats = ExecStats::default();
+    let mut stats = ExecStats {
+        shards_touched: stored.shards_touched(),
+        ..ExecStats::default()
+    };
     let mut per_thread: Vec<ExecStats> = Vec::new();
     let mut per_shard: Vec<ExecStats> = Vec::new();
     let action = transform.action(n, n.saturating_sub(1))?;
@@ -654,39 +635,15 @@ fn range(
             };
             let lowered = transform.lower(scheme, n)?;
             let descend = span::span("range.descend");
-            let candidates: Vec<u64> = match stored {
-                StoredRelation::Single { index, .. } => {
-                    let index = index.as_ref().expect("planned index exists");
-                    let (candidates, s) = if threads > 1 {
-                        let (candidates, p) =
-                            index.range_transformed_parallel(&lowered, &rect, threads);
-                        fold_search(&mut per_thread, &p.per_thread);
-                        (candidates, p.merged)
-                    } else {
-                        index.range_transformed(&lowered, &rect)
-                    };
-                    stats.nodes_visited = s.nodes_visited;
-                    stats.leaves_visited = s.leaves_visited;
-                    stats.entries_tested = s.entries_tested;
-                    candidates
-                }
-                StoredRelation::Sharded { indexes, .. } => {
-                    // Shard fan-out: each shard's tree serves the same
-                    // lowered query; shards are the parallel work units.
-                    let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                    let (by_shard, s) = if threads > 1 {
-                        simq_index::shard::range_transformed_sharded_parallel(
-                            &trees, &lowered, &rect, threads,
-                        )
-                    } else {
-                        simq_index::shard::range_transformed_sharded(&trees, &lowered, &rect)
-                    };
-                    stats.add_search(&s.merged);
-                    stats.shards_touched = trees.len() as u64;
-                    fold_shard_search(&mut per_shard, &s.per_shard);
-                    by_shard.into_iter().flatten().collect()
-                }
-            };
+            let (candidates, s) = simq_index::shard::range_transformed_sharded(
+                stored.indexes(),
+                &lowered,
+                &rect,
+                threads,
+            );
+            stats.add_search(&s.merged);
+            fold_search(&mut per_thread, &s.per_thread);
+            fold_search(&mut per_shard, &s.per_shard);
             descend.note("nodes", stats.nodes_visited);
             descend.note("leaves", stats.leaves_visited);
             descend.note("entries", stats.entries_tested);
@@ -761,44 +718,18 @@ fn range(
         }
         AccessPath::SeqScan { early_abandon } => {
             let scan_span = span::span("scan");
-            let scan_hits = match stored {
-                StoredRelation::Single { relation: rel, .. } => {
-                    let (scan_hits, merged) = if threads > 1 {
-                        let (scan_hits, p) = scan::scan_range_parallel(
-                            rel,
-                            transform,
-                            q_spec,
-                            eps,
-                            early_abandon,
-                            threads,
-                        )?;
-                        fold_scan(&mut per_thread, &p.per_thread);
-                        (scan_hits, p.merged)
-                    } else {
-                        scan::scan_range(rel, transform, q_spec, eps, early_abandon)?
-                    };
-                    stats.rows_scanned = merged.rows_scanned;
-                    stats.coefficients_compared = merged.coefficients_compared;
-                    stats.candidates = merged.rows_scanned;
-                    scan_hits
-                }
-                StoredRelation::Sharded { relation, .. } => {
-                    let (scan_hits, s) = simq_storage::shard::scan_range_sharded(
-                        relation,
-                        transform,
-                        q_spec,
-                        eps,
-                        early_abandon,
-                        threads,
-                    )?;
-                    stats.rows_scanned = s.merged.rows_scanned;
-                    stats.coefficients_compared = s.merged.coefficients_compared;
-                    stats.candidates = s.merged.rows_scanned;
-                    stats.shards_touched = relation.shard_count() as u64;
-                    fold_shard_scan(&mut per_shard, &s.per_shard);
-                    scan_hits
-                }
-            };
+            let (scan_hits, s) = simq_storage::shard::scan_range_sharded(
+                stored.relation(),
+                transform,
+                q_spec,
+                eps,
+                early_abandon,
+                threads,
+            )?;
+            stats.add_scan(&s.merged);
+            stats.candidates = s.merged.rows_scanned;
+            fold_scan(&mut per_thread, &s.per_thread);
+            fold_scan(&mut per_shard, &s.per_shard);
             scan_span.note("rows", stats.rows_scanned);
             scan_span.note("coefficients", stats.coefficients_compared);
             drop(scan_span);
@@ -861,7 +792,10 @@ fn knn(
 ) -> Result<QueryResult, QueryError> {
     let n = stored.series_len();
     let threads = the_plan.threads.max(1);
-    let mut stats = ExecStats::default();
+    let mut stats = ExecStats {
+        shards_touched: stored.shards_touched(),
+        ..ExecStats::default()
+    };
     let mut per_thread: Vec<ExecStats> = Vec::new();
     let mut per_shard: Vec<ExecStats> = Vec::new();
 
@@ -886,39 +820,16 @@ fn knn(
                 simq_series::spectral_mindist(scheme, &q_coeffs, rect)
             };
             let step1_span = span::span("knn.step1");
-            let step1 = match stored {
-                StoredRelation::Single { index, .. } => {
-                    let index = index.as_ref().expect("planned index exists");
-                    let (step1, s1) = if threads > 1 {
-                        let (step1, p) =
-                            index.nearest_by_parallel(&bound, Some(&lowered), k, threads);
-                        fold_search(&mut per_thread, &p.per_thread);
-                        (step1, p.merged)
-                    } else {
-                        index.nearest_by(&bound, Some(&lowered), k)
-                    };
-                    stats.add_search(&s1);
-                    step1
-                }
-                StoredRelation::Sharded { indexes, relation } => {
-                    let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                    let (step1, s1) = if threads > 1 {
-                        simq_index::shard::nearest_by_sharded_parallel(
-                            &trees,
-                            &bound,
-                            Some(&lowered),
-                            k,
-                            threads,
-                        )
-                    } else {
-                        simq_index::shard::nearest_by_sharded(&trees, &bound, Some(&lowered), k)
-                    };
-                    stats.add_search(&s1.merged);
-                    stats.shards_touched = relation.shard_count() as u64;
-                    fold_shard_search(&mut per_shard, &s1.per_shard);
-                    step1
-                }
-            };
+            let (step1, s1) = simq_index::shard::nearest_by_sharded(
+                stored.indexes(),
+                &bound,
+                Some(&lowered),
+                k,
+                threads,
+            );
+            stats.add_search(&s1.merged);
+            fold_search(&mut per_thread, &s1.per_thread);
+            fold_search(&mut per_shard, &s1.per_shard);
             step1_span.note("nodes", stats.nodes_visited);
             step1_span.note("candidates", step1.len() as u64);
             drop(step1_span);
@@ -949,34 +860,15 @@ fn knn(
                 // radius work from the per-thread totals.
                 let rect = scheme.search_rect(&q_point, pad(radius_sq.sqrt()));
                 let step2_span = span::span("knn.step2");
-                let candidates: Vec<u64> = match stored {
-                    StoredRelation::Single { index, .. } => {
-                        let index = index.as_ref().expect("planned index exists");
-                        let (candidates, s2) = if threads > 1 {
-                            let (candidates, p) =
-                                index.range_transformed_parallel(&lowered, &rect, threads);
-                            fold_search(&mut per_thread, &p.per_thread);
-                            (candidates, p.merged)
-                        } else {
-                            index.range_transformed(&lowered, &rect)
-                        };
-                        stats.add_search(&s2);
-                        candidates
-                    }
-                    StoredRelation::Sharded { indexes, .. } => {
-                        let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                        let (by_shard, s2) = if threads > 1 {
-                            simq_index::shard::range_transformed_sharded_parallel(
-                                &trees, &lowered, &rect, threads,
-                            )
-                        } else {
-                            simq_index::shard::range_transformed_sharded(&trees, &lowered, &rect)
-                        };
-                        stats.add_search(&s2.merged);
-                        fold_shard_search(&mut per_shard, &s2.per_shard);
-                        by_shard.into_iter().flatten().collect()
-                    }
-                };
+                let (candidates, s2) = simq_index::shard::range_transformed_sharded(
+                    stored.indexes(),
+                    &lowered,
+                    &rect,
+                    threads,
+                );
+                stats.add_search(&s2.merged);
+                fold_search(&mut per_thread, &s2.per_thread);
+                fold_search(&mut per_shard, &s2.per_shard);
                 step2_span.note("candidates", candidates.len() as u64);
                 drop(step2_span);
                 stats.candidates = candidates.len() as u64;
@@ -1051,33 +943,17 @@ fn knn(
         }
         AccessPath::SeqScan { .. } => {
             let scan_span = span::span("scan");
-            let scan_hits = match stored {
-                StoredRelation::Single { relation: rel, .. } => {
-                    let (scan_hits, merged) = if threads > 1 {
-                        let (scan_hits, p) =
-                            scan::scan_knn_parallel(rel, transform, q_spec, k, threads)?;
-                        fold_scan(&mut per_thread, &p.per_thread);
-                        (scan_hits, p.merged)
-                    } else {
-                        scan::scan_knn(rel, transform, q_spec, k)?
-                    };
-                    stats.rows_scanned = merged.rows_scanned;
-                    stats.coefficients_compared = merged.coefficients_compared;
-                    stats.candidates = merged.rows_scanned;
-                    scan_hits
-                }
-                StoredRelation::Sharded { relation, .. } => {
-                    let (scan_hits, s) = simq_storage::shard::scan_knn_sharded(
-                        relation, transform, q_spec, k, threads,
-                    )?;
-                    stats.rows_scanned = s.merged.rows_scanned;
-                    stats.coefficients_compared = s.merged.coefficients_compared;
-                    stats.candidates = s.merged.rows_scanned;
-                    stats.shards_touched = relation.shard_count() as u64;
-                    fold_shard_scan(&mut per_shard, &s.per_shard);
-                    scan_hits
-                }
-            };
+            let (scan_hits, s) = simq_storage::shard::scan_knn_sharded(
+                stored.relation(),
+                transform,
+                q_spec,
+                k,
+                threads,
+            )?;
+            stats.add_scan(&s.merged);
+            stats.candidates = s.merged.rows_scanned;
+            fold_scan(&mut per_thread, &s.per_thread);
+            fold_scan(&mut per_shard, &s.per_shard);
             scan_span.note("rows", stats.rows_scanned);
             scan_span.note("coefficients", stats.coefficients_compared);
             drop(scan_span);
@@ -1113,7 +989,10 @@ fn all_pairs(
 ) -> Result<QueryResult, QueryError> {
     let n = stored.series_len();
     let threads = the_plan.threads.max(1);
-    let mut stats = ExecStats::default();
+    let mut stats = ExecStats {
+        shards_touched: stored.shards_touched(),
+        ..ExecStats::default()
+    };
     let mut per_thread: Vec<ExecStats> = Vec::new();
     let per_shard: Vec<ExecStats> = Vec::new();
     let symmetric = left == right;
@@ -1121,48 +1000,18 @@ fn all_pairs(
     let mut pairs: Vec<PairHit> = match the_plan.access {
         AccessPath::ScanJoin { early_abandon } => {
             let join_span = span::span("join.scan");
-            let found = match stored {
-                StoredRelation::Single { relation: rel, .. } => {
-                    let (found, merged) = if threads > 1 {
-                        let (found, p) = scan::scan_all_pairs_two_parallel(
-                            rel,
-                            left,
-                            right,
-                            eps,
-                            early_abandon,
-                            threads,
-                        )?;
-                        fold_scan(&mut per_thread, &p.per_thread);
-                        (found, p.merged)
-                    } else {
-                        scan::scan_all_pairs_two(rel, left, right, eps, early_abandon)?
-                    };
-                    stats.rows_scanned = merged.rows_scanned;
-                    stats.coefficients_compared = merged.coefficients_compared;
-                    found
-                }
-                StoredRelation::Sharded { relation, .. } => {
-                    // Pair work crosses shards: the rows run flattened in
-                    // id order through the exact unsharded machinery, so
-                    // parallelism is row-chunked and per-thread shares
-                    // are reported exactly as for the single form.
-                    let (found, p) = simq_storage::shard::scan_all_pairs_two_sharded(
-                        relation,
-                        left,
-                        right,
-                        eps,
-                        early_abandon,
-                        threads,
-                    )?;
-                    if threads > 1 {
-                        fold_scan(&mut per_thread, &p.per_thread);
-                    }
-                    stats.rows_scanned = p.merged.rows_scanned;
-                    stats.coefficients_compared = p.merged.coefficients_compared;
-                    stats.shards_touched = relation.shard_count() as u64;
-                    found
-                }
-            };
+            // Pair work crosses shards: the rows run in id order through
+            // one row-chunked pair scan at every shard count.
+            let (found, s) = simq_storage::shard::scan_all_pairs_two_sharded(
+                stored.relation(),
+                left,
+                right,
+                eps,
+                early_abandon,
+                threads,
+            )?;
+            stats.add_scan(&s.merged);
+            fold_scan(&mut per_thread, &s.per_thread);
             join_span.note("rows", stats.rows_scanned);
             join_span.note("pairs", found.len() as u64);
             drop(join_span);
@@ -1186,19 +1035,11 @@ fn all_pairs(
             let lowered = eff_right.lower(scheme, n)?;
             let action = eff_right.action(n, n.saturating_sub(1))?;
             let left_action = eff_left.action(n, n.saturating_sub(1))?;
-            // Every probe ranges over every shard's tree (one tree for the
-            // single form). The candidate union over shards equals the
+            // Every probe ranges over every shard's tree (one tree when
+            // unsharded). The candidate union over shards equals the
             // single-tree candidate set, and the canonical (min, max) map
             // below is order-insensitive, so sharded output is identical.
-            let probe_trees: Vec<&simq_index::RTree> = match stored {
-                StoredRelation::Single { index, .. } => {
-                    vec![index.as_ref().expect("planned index exists")]
-                }
-                StoredRelation::Sharded { indexes, .. } => indexes.iter().collect(),
-            };
-            if let StoredRelation::Sharded { relation, .. } = stored {
-                stats.shards_touched = relation.shard_count() as u64;
-            }
+            let probe_trees = stored.indexes();
             // One probe per row; for asymmetric joins both orientations of
             // each unordered pair are discovered (once from each probe);
             // keep the smaller distance per canonical (min, max) key.
@@ -1231,7 +1072,7 @@ fn all_pairs(
                         stored.sig_coeffs(),
                     )
                 });
-                for tree in &probe_trees {
+                for tree in probe_trees {
                     let (candidates, s) = tree.range_transformed(&lowered, &rect);
                     stats.add_search(&s);
                     stats.candidates += candidates.len() as u64;

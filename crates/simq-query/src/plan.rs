@@ -17,172 +17,131 @@ use simq_series::features::{FeatureScheme, Representation};
 use simq_storage::durable::{
     CheckpointReport, CheckpointSource, DurableDir, DurableError, FailingStorage, ReplayReport,
 };
-use simq_storage::snapshot::{self, SnapshotEntry, SnapshotError, SnapshotSource};
+use simq_storage::snapshot::{self, SnapshotError, SnapshotSource};
 use simq_storage::wal::WalRecord;
 use simq_storage::{SeriesRelation, SeriesRow, ShardedRelation};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// A catalog entry: a relation stored whole with an optional index, or
-/// partitioned into shards with one R*-tree per shard.
+/// A catalog entry: a relation partitioned into one or more shards, with
+/// one R*-tree per shard when indexed (none when not).
 ///
-/// Execution treats the two forms identically at the row level (row
-/// lookups route through the shard layout) and fans index/scan work out
-/// per shard for the sharded form; sharded results are bitwise identical
-/// to unsharded execution (`tests/shard_equivalence.rs`).
+/// An unsharded relation is one shard; the shard count is a parameter of
+/// execution, not a separate form. Index and scan work goes through the
+/// fan-out helpers of `simq_index::shard` and `simq_storage::shard`,
+/// which thread inside the one tree or fan out across shards; results
+/// are bitwise identical at every shard count
+/// (`tests/shard_equivalence.rs`).
 #[derive(Debug, Clone)]
-pub enum StoredRelation {
-    /// One store, one optional R*-tree — the default form.
-    Single {
-        /// The relation.
-        relation: SeriesRelation,
-        /// The R*-tree over the relation's feature points, if built.
-        index: Option<RTree>,
-    },
-    /// The row space hash-partitioned by row id, one R*-tree per shard.
-    Sharded {
-        /// The sharded relation (each shard owns its series store).
-        relation: ShardedRelation,
-        /// One bulk-loaded R*-tree per shard, in shard order.
-        indexes: Vec<RTree>,
-    },
+pub struct StoredRelation {
+    relation: ShardedRelation,
+    /// One tree per shard, in shard order; empty when unindexed.
+    indexes: Vec<RTree>,
 }
 
 impl StoredRelation {
+    fn new(relation: ShardedRelation, indexes: Vec<RTree>) -> Self {
+        debug_assert!(indexes.is_empty() || indexes.len() == relation.shard_count());
+        StoredRelation { relation, indexes }
+    }
+
+    /// The relation's rows, partitioned into its shards.
+    pub fn relation(&self) -> &ShardedRelation {
+        &self.relation
+    }
+
+    /// One R*-tree per shard, in shard order (empty when unindexed).
+    pub fn indexes(&self) -> &[RTree] {
+        &self.indexes
+    }
+
     /// Relation name.
     pub fn name(&self) -> &str {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.name(),
-            StoredRelation::Sharded { relation, .. } => relation.name(),
-        }
+        self.relation.name()
     }
 
     /// Length every stored series must have.
     pub fn series_len(&self) -> usize {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.series_len(),
-            StoredRelation::Sharded { relation, .. } => relation.series_len(),
-        }
+        self.relation.series_len()
     }
 
     /// The feature scheme rows are extracted under.
     pub fn scheme(&self) -> &FeatureScheme {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.scheme(),
-            StoredRelation::Sharded { relation, .. } => relation.scheme(),
-        }
+        self.relation.scheme()
     }
 
     /// Total number of rows.
     pub fn row_count(&self) -> usize {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.len(),
-            StoredRelation::Sharded { relation, .. } => relation.len(),
-        }
+        self.relation.len()
     }
 
-    /// Row access by id (routed through the shard layout when sharded).
+    /// Row access by id (routed through the shard layout).
+    #[inline]
     pub fn row(&self, id: u64) -> Option<&SeriesRow> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.row(id),
-            StoredRelation::Sharded { relation, .. } => relation.row(id),
-        }
+        self.relation.row(id)
     }
 
     /// The quantized filter-tier signature of a row (routed through the
-    /// shard layout when sharded).
+    /// shard layout).
+    #[inline]
     pub fn signature(&self, id: u64) -> Option<&[f32]> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.signature(id),
-            StoredRelation::Sharded { relation, .. } => relation.signature(id),
-        }
+        self.relation.signature(id)
     }
 
     /// Coefficients each filter-tier signature keeps — fixed by the
-    /// series length, so single and sharded forms always agree.
+    /// series length, so every shard count agrees.
     pub fn sig_coeffs(&self) -> usize {
         self.series_len().min(simq_storage::SIG_COEFFS)
     }
 
-    /// First row whose name attribute equals `name` — first in insertion
-    /// order for the single form, smallest id for the sharded one. The
-    /// two coincide for sequentially built relations (the only kind whose
-    /// insertion order differs from id order is one assembled with
-    /// out-of-order [`SeriesRelation::insert_with_id`] calls).
+    /// The smallest-id row whose name attribute equals `name` — the same
+    /// row at every shard count.
     pub fn find_row_named(&self, name: &str) -> Option<&SeriesRow> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.rows().find(|r| r.name == name),
-            StoredRelation::Sharded { relation, .. } => {
-                // One linear pass keeping the smallest-id match — same
-                // winner as scanning in id order, without materializing
-                // and sorting the whole row set.
-                let mut best: Option<&SeriesRow> = None;
-                for row in relation.rows() {
-                    if row.name == name && best.is_none_or(|b| row.id < b.id) {
-                        best = Some(row);
-                    }
-                }
-                best
-            }
-        }
+        self.relation.find_row_named(name)
     }
 
-    /// Iterates rows: insertion order for the single form, shard-major
-    /// for the sharded one. Use [`StoredRelation::rows_in_scan_order`]
-    /// when the unsharded iteration order matters.
-    pub fn rows(&self) -> Box<dyn Iterator<Item = &SeriesRow> + '_> {
-        match self {
-            StoredRelation::Single { relation, .. } => Box::new(relation.rows()),
-            StoredRelation::Sharded { relation, .. } => Box::new(relation.rows()),
-        }
+    /// Iterates rows shard-major. Use
+    /// [`StoredRelation::rows_in_scan_order`] when order matters.
+    pub fn rows(&self) -> impl Iterator<Item = &SeriesRow> {
+        self.relation.rows()
     }
 
-    /// All rows in the unsharded scan order: insertion order for the
-    /// single form, id order for the sharded one. The two coincide for
-    /// sequentially built relations; a relation assembled with
-    /// out-of-order explicit-id inserts loses its global insertion order
-    /// on sharding (rows keep only their per-shard relative order), so
-    /// for such relations the sharded↔unsharded equivalence holds
-    /// against the id-ordered scan — asymmetric pair scans may report a
-    /// different (equally valid) orientation for tied pairs.
+    /// All rows in id order — the scan order of every query path at every
+    /// shard count (no sort when the rows are already stored in id
+    /// order, as in every sequentially built unsharded relation).
     pub fn rows_in_scan_order(&self) -> Vec<&SeriesRow> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.rows().collect(),
-            StoredRelation::Sharded { relation, .. } => relation.rows_by_id(),
-        }
+        self.relation.rows_by_id()
     }
 
-    /// True when index-based plans are available (sharded relations
-    /// always carry per-shard trees).
+    /// True when index-based plans are available.
     pub fn has_index(&self) -> bool {
-        match self {
-            StoredRelation::Single { index, .. } => index.is_some(),
-            StoredRelation::Sharded { .. } => true,
-        }
+        !self.indexes.is_empty()
     }
 
-    /// Number of shards (1 for the single form).
+    /// Number of shards (1 when unsharded).
     pub fn shard_count(&self) -> usize {
-        match self {
-            StoredRelation::Single { .. } => 1,
-            StoredRelation::Sharded { relation, .. } => relation.shard_count(),
+        self.relation.shard_count()
+    }
+
+    /// What `ExecStats::shards_touched` reports for a query over this
+    /// relation: the shard count when sharded, 0 when unsharded.
+    pub(crate) fn shards_touched(&self) -> u64 {
+        match self.shard_count() {
+            1 => 0,
+            n => n as u64,
         }
     }
 
-    /// Rows per shard (one entry, the row count, for the single form) —
-    /// the `\relations` listing.
+    /// Rows per shard — the `\relations` listing.
     pub fn shard_row_counts(&self) -> Vec<usize> {
-        match self {
-            StoredRelation::Single { relation, .. } => vec![relation.len()],
-            StoredRelation::Sharded { relation, .. } => relation.shard_row_counts(),
-        }
+        self.relation.shard_row_counts()
     }
 
-    /// Inserts a series, keeping the index (or the owning shard's index)
-    /// in sync: exactly one tree receives the new point — for sharded
-    /// relations a small per-shard tree, which is the insert-locality win
-    /// sharding exists for.
+    /// Inserts a series, keeping the owning shard's index in sync: exactly
+    /// one tree receives the new point — for sharded relations a small
+    /// per-shard tree, which is the insert-locality win sharding exists
+    /// for.
     ///
     /// # Errors
     /// As [`SeriesRelation::insert`].
@@ -197,10 +156,7 @@ impl StoredRelation {
 
     /// The row id the next insert will assign.
     pub fn next_id(&self) -> u64 {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.next_id(),
-            StoredRelation::Sharded { relation, .. } => relation.next_id(),
-        }
+        self.relation.next_id()
     }
 
     /// Records that ids up to `id` were consumed without storing rows —
@@ -208,10 +164,7 @@ impl StoredRelation {
     /// durable prefix replay may still apply (see
     /// [`SeriesRelation::note_inserted`]).
     pub fn note_inserted(&mut self, id: u64) {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.note_inserted(id),
-            StoredRelation::Sharded { relation, .. } => relation.note_inserted(id),
-        }
+        self.relation.note_inserted(id);
     }
 
     /// Inserts a series under an explicit row id, keeping the owning
@@ -228,28 +181,16 @@ impl StoredRelation {
         name: impl Into<String>,
         series: Vec<f64>,
     ) -> Result<(usize, u64), SeriesError> {
-        match self {
-            StoredRelation::Single { relation, index } => {
-                relation.insert_with_id(id, name, series)?;
-                let mut built = 0;
-                if let Some(tree) = index {
-                    let before = tree.nodes_built();
-                    let point = &relation.row(id).expect("just inserted").features.point;
-                    tree.insert_point(point, id);
-                    built = tree.nodes_built() - before;
-                }
-                Ok((0, built))
-            }
-            StoredRelation::Sharded { relation, indexes } => {
-                relation.insert_with_id(id, name, series)?;
-                let shard = relation.shard_of(id);
-                let tree = &mut indexes[shard];
-                let before = tree.nodes_built();
-                let point = &relation.row(id).expect("just inserted").features.point;
-                tree.insert_point(point, id);
-                Ok((shard, tree.nodes_built() - before))
-            }
+        self.relation.insert_with_id(id, name, series)?;
+        let shard = self.relation.shard_of(id);
+        let mut built = 0;
+        if let Some(tree) = self.indexes.get_mut(shard) {
+            let before = tree.nodes_built();
+            let point = &self.relation.row(id).expect("just inserted").features.point;
+            tree.insert_point(point, id);
+            built = tree.nodes_built() - before;
         }
+        Ok((shard, built))
     }
 }
 
@@ -413,67 +354,48 @@ impl Database {
         self.generation
     }
 
-    /// Registers a relation without an index.
+    /// Registers a relation without an index (one shard, no trees).
     pub fn add_relation(&mut self, relation: SeriesRelation) {
-        self.generation += 1;
-        let name = relation.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Single {
-                relation,
-                index: None,
-            }),
-        );
-        self.after_ddl(&name);
+        self.install(StoredRelation::new(
+            ShardedRelation::from_single(relation, 1),
+            Vec::new(),
+        ));
     }
 
-    /// Registers a relation and bulk-loads an index over it.
+    /// Registers a relation and bulk-loads an index over it (one shard,
+    /// one tree).
     pub fn add_relation_indexed(&mut self, relation: SeriesRelation) {
-        let index = relation.build_index(RTreeConfig::default());
-        self.generation += 1;
-        let name = relation.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Single {
-                relation,
-                index: Some(index),
-            }),
-        );
-        self.after_ddl(&name);
+        self.add_relation_sharded(relation, 1);
     }
 
     /// Registers a relation partitioned into `shards` shards, with one
-    /// bulk-loaded R*-tree per shard (`shards` ≤ 1 registers the single
-    /// indexed form). Rows move bit-for-bit, so query answers equal the
-    /// unsharded relation's.
+    /// bulk-loaded R*-tree per shard (`shards` ≤ 1 registers one shard
+    /// with one tree, as [`Database::add_relation_indexed`]). Rows move
+    /// bit-for-bit, so query answers equal the unsharded relation's.
     pub fn add_relation_sharded(&mut self, relation: SeriesRelation, shards: usize) {
-        if shards <= 1 {
-            self.add_relation_indexed(relation);
-            return;
-        }
-        let sharded = ShardedRelation::from_single(relation, shards);
-        let indexes = sharded.build_indexes(RTreeConfig::default());
+        let relation = ShardedRelation::from_single(relation, shards);
+        let indexes = relation.build_indexes(RTreeConfig::default());
+        self.install(StoredRelation::new(relation, indexes));
+    }
+
+    /// Adds (or replaces) a catalog entry: bumps the generation and runs
+    /// the after-DDL checkpoint.
+    fn install(&mut self, stored: StoredRelation) {
         self.generation += 1;
-        let name = sharded.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            }),
-        );
+        let name = stored.name().to_string();
+        self.relations.insert(name.clone(), Arc::new(stored));
         self.after_ddl(&name);
     }
 
-    /// Re-partitions an existing relation into `shards` shards (the CLI's
-    /// `\shard <relation> <n>`): `shards` ≥ 2 produces the sharded form
-    /// with one tree per shard; `shards` = 1 merges a sharded relation
-    /// back into a single indexed store. Rows move bit-for-bit either way
-    /// (without cloning raw series or spectra), so query answers are
-    /// unchanged, and the new per-shard trees are built through the
-    /// incremental insert path — the same code every later insert
-    /// exercises, so a relation with pending (post-bulk-load) inserts
-    /// re-shards into exactly the structures continued inserting produces.
+    /// Re-partitions an existing relation into `shards` shards with one
+    /// tree per shard (the CLI's `\shard <relation> <n>`; `shards` = 1
+    /// merges a sharded relation back into one indexed shard). Rows move
+    /// bit-for-bit either way (without cloning raw series or spectra), so
+    /// query answers are unchanged, and the new per-shard trees are built
+    /// through the incremental insert path — the same code every later
+    /// insert exercises, so a relation with pending (post-bulk-load)
+    /// inserts re-shards into exactly the structures continued inserting
+    /// produces.
     ///
     /// Asking for the shape the relation already has is a **no-op**: no
     /// rows move, no trees rebuild, the catalog generation stays put, so
@@ -488,46 +410,26 @@ impl Database {
                 "shard count must be at least 1".into(),
             ));
         }
-        match self.relations.get(name).map(Arc::as_ref) {
-            None => return Err(QueryError::UnknownRelation(name.to_string())),
-            // Already the requested shape (a Single with an index counts
-            // as "1 shard" only if it actually has a tree — `\shard r 1`
-            // on an unindexed relation builds its index).
-            Some(StoredRelation::Sharded { relation, .. }) if relation.shard_count() == shards => {
-                return Ok(())
-            }
-            Some(StoredRelation::Single { index: Some(_), .. }) if shards == 1 => return Ok(()),
-            Some(_) => {}
+        let stored = self
+            .relations
+            .get(name)
+            .ok_or_else(|| QueryError::UnknownRelation(name.to_string()))?;
+        // Already the requested shape — which includes having its trees:
+        // `\shard r 1` on an unindexed relation builds its index.
+        if stored.shard_count() == shards && stored.has_index() {
+            return Ok(());
         }
         let stored = self.relations.remove(name).expect("presence checked above");
-        self.generation += 1;
         // A live read view may still hold this relation; take the value
         // out of the Arc when we are the only owner, clone otherwise.
         let stored = Arc::try_unwrap(stored).unwrap_or_else(|shared| (*shared).clone());
-        let single = match stored {
-            StoredRelation::Single { relation, .. } => relation,
-            StoredRelation::Sharded { relation, .. } => relation.into_single(),
-        };
-        let rebuilt = if shards == 1 {
-            let index = single.build_index_incremental(RTreeConfig::default());
-            StoredRelation::Single {
-                relation: single,
-                index: Some(index),
-            }
-        } else {
-            let sharded = ShardedRelation::from_single(single, shards);
-            let indexes = sharded
-                .shards()
-                .iter()
-                .map(|s| s.build_index_incremental(RTreeConfig::default()))
-                .collect();
-            StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            }
-        };
-        self.relations.insert(name.to_string(), Arc::new(rebuilt));
-        self.after_ddl(name);
+        let relation = ShardedRelation::from_single(stored.relation.into_single(), shards);
+        let indexes = relation
+            .shards()
+            .iter()
+            .map(|s| s.build_index_incremental(RTreeConfig::default()))
+            .collect();
+        self.install(StoredRelation::new(relation, indexes));
         Ok(())
     }
 
@@ -536,10 +438,10 @@ impl Database {
         self.relations.get(name).map(Arc::as_ref)
     }
 
-    /// Mutable lookup (to build or drop indexes). When the relation
-    /// exists, this conservatively bumps the catalog
+    /// Mutable lookup (to insert through [`StoredRelation::insert`]).
+    /// When the relation exists, this conservatively bumps the catalog
     /// [generation](Database::generation) — the borrow may mutate the
-    /// relation or its index; a missed lookup leaves cached plans valid.
+    /// relation and its trees; a missed lookup leaves cached plans valid.
     pub fn relation_mut(&mut self, name: &str) -> Option<&mut StoredRelation> {
         if self.relations.contains_key(name) {
             self.generation += 1;
@@ -580,9 +482,10 @@ impl Database {
     }
 
     /// Saves every relation — and its index structure(s), when built — to
-    /// a paged binary snapshot (see [`simq_storage::snapshot`]). Sharded
-    /// relations persist their shard layout and one tree per shard, so
-    /// reopening reproduces the sharded form exactly.
+    /// a paged binary snapshot (see [`simq_storage::snapshot`]). A
+    /// one-shard relation is written as an unsharded entry; several shards
+    /// persist their layout and one tree per shard, so reopening
+    /// reproduces the shard count exactly.
     ///
     /// # Errors
     /// I/O errors from the filesystem.
@@ -590,14 +493,7 @@ impl Database {
         let entries: Vec<SnapshotSource> = self
             .relations
             .values()
-            .map(|s| match s.as_ref() {
-                StoredRelation::Single { relation, index } => {
-                    SnapshotSource::Single(relation, index.as_ref())
-                }
-                StoredRelation::Sharded { relation, indexes } => {
-                    SnapshotSource::Sharded(relation, indexes)
-                }
-            })
+            .map(|s| SnapshotSource::of(&s.relation, &s.indexes))
             .collect();
         snapshot::save_catalog(path, &entries)
     }
@@ -629,15 +525,8 @@ impl Database {
         self.generation += 1;
         let mut names = Vec::with_capacity(count);
         for entry in loaded {
-            let stored = match entry {
-                SnapshotEntry::Single(s) => StoredRelation::Single {
-                    relation: s.relation,
-                    index: s.index,
-                },
-                SnapshotEntry::Sharded { relation, indexes } => {
-                    StoredRelation::Sharded { relation, indexes }
-                }
-            };
+            let (relation, indexes) = entry.into_sharded();
+            let stored = StoredRelation::new(relation, indexes);
             names.push(stored.name().to_string());
             self.relations
                 .insert(stored.name().to_string(), Arc::new(stored));
@@ -709,15 +598,8 @@ impl Database {
         let mut db = Database::new();
         db.generation = 1;
         for entry in entries {
-            let stored = match entry {
-                SnapshotEntry::Single(s) => StoredRelation::Single {
-                    relation: s.relation,
-                    index: s.index,
-                },
-                SnapshotEntry::Sharded { relation, indexes } => {
-                    StoredRelation::Sharded { relation, indexes }
-                }
-            };
+            let (relation, indexes) = entry.into_sharded();
+            let stored = StoredRelation::new(relation, indexes);
             db.relations
                 .insert(stored.name().to_string(), Arc::new(stored));
         }
@@ -808,10 +690,7 @@ impl Database {
         }
         stored.scheme().extract(&series)?;
         let id = stored.next_id();
-        let shard = match stored.as_ref() {
-            StoredRelation::Single { .. } => 0,
-            StoredRelation::Sharded { relation, .. } => relation.shard_of(id),
-        };
+        let shard = stored.relation.shard_of(id);
         let record = WalRecord {
             id,
             name: name.into(),
@@ -886,7 +765,7 @@ impl Database {
 
     /// Inserts a batch of series through the durable write path with one
     /// WAL group append (one write + one sync) per touched shard, and —
-    /// for sharded relations under [`Parallelism`] > 1 — concurrent
+    /// when several shards are touched under [`Parallelism`] > 1 — concurrent
     /// per-shard writers: each shard is owned by exactly one scoped
     /// worker thread, so inserts to distinct shards proceed in parallel
     /// while rows within a shard apply strictly in id order.
@@ -940,10 +819,6 @@ impl Database {
         }
         let base_id = stored.next_id();
         let shard_count = stored.shard_count();
-        let layout = match stored.as_ref() {
-            StoredRelation::Single { .. } => None,
-            StoredRelation::Sharded { relation, .. } => Some(relation.layout()),
-        };
         let n = rows.len() as u64;
         // Ids are assigned in input order (serial-equivalent) and routed
         // by the shard layout; within a shard records stay id-ascending.
@@ -951,7 +826,7 @@ impl Database {
             (0..shard_count).map(|_| (Vec::new(), Vec::new())).collect();
         for (i, (name, series)) in rows.into_iter().enumerate() {
             let id = base_id + i as u64;
-            let shard = layout.as_ref().map_or(0, |l| l.shard_of(id));
+            let shard = stored.relation.shard_of(id);
             per_shard[shard].0.push(i);
             per_shard[shard].1.push(WalRecord { id, name, series });
         }
@@ -962,81 +837,69 @@ impl Database {
                 .get_mut(relation)
                 .expect("relation presence checked above"),
         );
-        let mut outcomes: Vec<ShardBatchOutcome> = match stored {
-            StoredRelation::Single {
-                relation: store,
-                index,
-            } => {
-                let (idxs, records) = per_shard.pop().expect("single form has one shard");
-                let outcome =
-                    apply_shard_batch(dur, relation, 0, &idxs, records, store, index.as_mut());
-                // Mirror the sharded path below: every id in the batch is
-                // consumed, acked or not, so a later insert can never
-                // collide with a record a failed WAL prefix might replay.
-                store.note_inserted(base_id + n - 1);
-                vec![outcome]
-            }
-            StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            } => {
-                let mut work: Vec<_> = sharded
-                    .shards_mut()
-                    .iter_mut()
-                    .zip(indexes.iter_mut())
-                    .zip(per_shard)
-                    .enumerate()
-                    .filter(|(_, (_, (idxs, _)))| !idxs.is_empty())
-                    .map(|(j, ((store, tree), (idxs, records)))| (j, idxs, records, store, tree))
-                    .collect();
-                let outcomes: Vec<ShardBatchOutcome> = if threads > 1 && work.len() > 1 {
-                    // One scoped worker per chunk of busy shards: the
-                    // `&mut` borrows are disjoint per shard, so inserts
-                    // to distinct shards proceed in parallel. Workers
-                    // join before the scope returns, so readers of the
-                    // catalog never observe a shard mid-apply.
-                    let per = work.len().div_ceil(threads.min(work.len()));
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = work
-                            .chunks_mut(per)
-                            .map(|chunk| {
-                                scope.spawn(move || {
-                                    chunk
-                                        .iter_mut()
-                                        .map(|(j, idxs, records, store, tree)| {
-                                            apply_shard_batch(
-                                                dur,
-                                                relation,
-                                                *j,
-                                                idxs,
-                                                std::mem::take(records),
-                                                store,
-                                                Some(tree),
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
+        let StoredRelation {
+            relation: sharded,
+            indexes,
+        } = stored;
+        // Unindexed relations pair every shard with no tree.
+        let trees = indexes
+            .iter_mut()
+            .map(Some)
+            .chain(std::iter::repeat_with(|| None));
+        let mut work: Vec<_> = sharded
+            .shards_mut()
+            .iter_mut()
+            .zip(trees)
+            .zip(per_shard)
+            .enumerate()
+            .filter(|(_, (_, (idxs, _)))| !idxs.is_empty())
+            .map(|(j, ((store, tree), (idxs, records)))| (j, idxs, records, store, tree))
+            .collect();
+        let mut outcomes: Vec<ShardBatchOutcome> = if threads > 1 && work.len() > 1 {
+            // One scoped worker per chunk of busy shards: the `&mut`
+            // borrows are disjoint per shard, so inserts to distinct
+            // shards proceed in parallel. Workers join before the scope
+            // returns, so readers of the catalog never observe a shard
+            // mid-apply.
+            let per = work.len().div_ceil(threads.min(work.len()));
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = work
+                    .chunks_mut(per)
+                    .map(|chunk| {
+                        scope.spawn(move || {
+                            chunk
+                                .iter_mut()
+                                .map(|(j, idxs, records, store, tree)| {
+                                    apply_shard_batch(
+                                        dur,
+                                        relation,
+                                        *j,
+                                        idxs,
+                                        std::mem::take(records),
+                                        store,
+                                        tree.as_deref_mut(),
+                                    )
                                 })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("shard writer panicked"))
-                            .collect()
-                    })
-                } else {
-                    work.into_iter()
-                        .map(|(j, idxs, records, store, tree)| {
-                            apply_shard_batch(dur, relation, j, &idxs, records, store, Some(tree))
+                                .collect::<Vec<_>>()
                         })
-                        .collect()
-                };
-                // Every id in the batch is consumed, acked or not, so a
-                // later insert can never collide with a record a failed
-                // shard's WAL prefix might replay.
-                sharded.note_inserted(base_id + n - 1);
-                outcomes
-            }
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("shard writer panicked"))
+                    .collect()
+            })
+        } else {
+            work.into_iter()
+                .map(|(j, idxs, records, store, tree)| {
+                    apply_shard_batch(dur, relation, j, &idxs, records, store, tree)
+                })
+                .collect()
         };
+        // Every id in the batch is consumed, acked or not, so a later
+        // insert can never collide with a record a failed shard's WAL
+        // prefix might replay.
+        sharded.note_inserted(base_id + n - 1);
         outcomes.sort_by_key(|o| o.shard);
         let mut report = InsertBatchReport::default();
         let mut poison: Option<String> = None;
@@ -1185,25 +1048,9 @@ impl Database {
             .values()
             .map(|s| {
                 let flags = d.dirty.get(s.name());
-                let dirty_at = |j: usize| flags.is_none_or(|f| f.get(j).copied().unwrap_or(true));
-                match s.as_ref() {
-                    StoredRelation::Single { relation, index } => CheckpointSource {
-                        name: relation.name(),
-                        sharded: false,
-                        shards: vec![(relation, index.as_ref(), dirty_at(0))],
-                    },
-                    StoredRelation::Sharded { relation, indexes } => CheckpointSource {
-                        name: relation.name(),
-                        sharded: true,
-                        shards: relation
-                            .shards()
-                            .iter()
-                            .zip(indexes)
-                            .enumerate()
-                            .map(|(j, (shard, tree))| (shard, Some(tree), dirty_at(j)))
-                            .collect(),
-                    },
-                }
+                CheckpointSource::of(&s.relation, &s.indexes, |j| {
+                    flags.is_none_or(|f| f.get(j).copied().unwrap_or(true))
+                })
             })
             .collect();
         let report = d.store.checkpoint(&sources)?;

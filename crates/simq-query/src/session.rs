@@ -1157,15 +1157,11 @@ impl RangeVerify<'_> {
 }
 
 enum CursorState<'db> {
-    /// Streaming index descent + per-candidate verification.
+    /// Streaming descent over the relation's trees (one per shard, later
+    /// shards entered lazily so early termination skips them) +
+    /// per-candidate verification.
     IndexRange {
         stream: simq_index::RangeStream<'db>,
-        verify: RangeVerify<'db>,
-    },
-    /// Streaming descent over a sharded relation's forest of trees
-    /// (shards entered lazily, so early termination skips whole shards).
-    IndexRangeSharded {
-        stream: simq_index::ShardedRangeStream<'db>,
         verify: RangeVerify<'db>,
     },
     /// Row-at-a-time sequential scan.
@@ -1239,22 +1235,12 @@ impl<'db> Cursor<'db> {
                             )
                         };
                         let lowered = transform.lower(scheme, n)?;
-                        match stored {
-                            StoredRelation::Single { index, .. } => {
-                                let index = index.as_ref().expect("planned index exists");
-                                let stream = index.range_stream(Some(Box::new(lowered)), rect);
-                                CursorState::IndexRange { stream, verify }
-                            }
-                            StoredRelation::Sharded { indexes, .. } => {
-                                let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                                let stream = simq_index::ShardedRangeStream::new(
-                                    trees,
-                                    Some(Box::new(lowered)),
-                                    rect,
-                                );
-                                CursorState::IndexRangeSharded { stream, verify }
-                            }
-                        }
+                        let stream = simq_index::RangeStream::new(
+                            stored.indexes(),
+                            Some(Box::new(lowered)),
+                            rect,
+                        );
+                        CursorState::IndexRange { stream, verify }
                     }
                     AccessPath::SeqScan { .. } => {
                         let rows: Vec<&SeriesRow> = stored.rows_in_scan_order();
@@ -1302,10 +1288,8 @@ impl<'db> Cursor<'db> {
     /// full execution cost, known at open.
     pub fn stats(&self) -> ExecStats {
         let mut stats = self.stats;
-        match &self.state {
-            CursorState::IndexRange { stream, .. } => stats.add_search(stream.stats()),
-            CursorState::IndexRangeSharded { stream, .. } => stats.add_search(stream.stats()),
-            _ => {}
+        if let CursorState::IndexRange { stream, .. } = &self.state {
+            stats.add_search(stream.stats());
         }
         stats
     }
@@ -1333,14 +1317,6 @@ impl Iterator for Cursor<'_> {
         let out = match &mut self.state {
             CursorState::Buffered(hits) => hits.next(),
             CursorState::IndexRange { stream, verify } => loop {
-                let Some(id) = stream.next() else { break None };
-                self.stats.candidates += 1;
-                if let Some(hit) = verify.verify(id, &mut self.stats) {
-                    self.stats.verified += 1;
-                    break Some(hit);
-                }
-            },
-            CursorState::IndexRangeSharded { stream, verify } => loop {
                 let Some(id) = stream.next() else { break None };
                 self.stats.candidates += 1;
                 if let Some(hit) = verify.verify(id, &mut self.stats) {

@@ -111,7 +111,8 @@ pub struct ManifestEntry {
     pub file_id: u64,
     /// Relation name.
     pub name: String,
-    /// Whether the relation is stored in its sharded form.
+    /// Whether the relation is stored as several shards (`false` for a
+    /// one-shard relation).
     pub sharded: bool,
     /// Per shard, the epoch its current checkpoint was written at.
     pub shard_epochs: Vec<u64>,
@@ -358,11 +359,34 @@ pub struct DurableDir {
 pub struct CheckpointSource<'a> {
     /// Relation name.
     pub name: &'a str,
-    /// Whether the relation is in its sharded form.
+    /// Whether the relation has several shards (`false` for one).
     pub sharded: bool,
     /// Per shard: the shard's store, its optional tree, and whether it
     /// changed since the last checkpoint.
     pub shards: Vec<(&'a SeriesRelation, Option<&'a RTree>, bool)>,
+}
+
+impl<'a> CheckpointSource<'a> {
+    /// The checkpoint view of a relation with its trees (none, or one per
+    /// shard): a one-shard relation is checkpointed in the unsharded form
+    /// (`sharded = 0` in the manifest). `dirty(j)` says whether shard `j`
+    /// changed since the last checkpoint.
+    pub fn of(
+        relation: &'a ShardedRelation,
+        indexes: &'a [RTree],
+        dirty: impl Fn(usize) -> bool,
+    ) -> Self {
+        CheckpointSource {
+            name: relation.name(),
+            sharded: relation.shard_count() > 1,
+            shards: relation
+                .shards()
+                .iter()
+                .enumerate()
+                .map(|(j, shard)| (shard, indexes.get(j), dirty(j)))
+                .collect(),
+        }
+    }
 }
 
 impl DurableDir {

@@ -20,9 +20,10 @@
 //!   R*-trees, so cold starts skip feature extraction and index
 //!   bulk-loading.
 //! * [`shard`] — [`ShardedRelation`]: the row space hash-partitioned by
-//!   row id into independent shards (each an ordinary [`SeriesRelation`]),
-//!   plus sharded scan entry points whose merged results are bitwise
-//!   identical to the unsharded scans.
+//!   row id into independent shards (each an ordinary [`SeriesRelation`];
+//!   an unsharded relation is one shard), plus the scan entry points
+//!   query execution uses at every shard count, whose merged results are
+//!   bitwise identical to the unsharded scans.
 //! * [`sig`] — the quantized filter tier: [`SignatureArray`] (contiguous
 //!   reduced-precision leading spectrum coefficients per relation/shard)
 //!   and [`FilterProbe`] (a no-false-dismissal lower bound on the
@@ -67,8 +68,8 @@ pub use scan::{
     ScanStats,
 };
 pub use shard::{
-    scan_all_pairs_two_sharded, scan_knn_sharded, scan_range_sharded, ShardLayout, ShardedRelation,
-    ShardedScanStats,
+    scan_all_pairs_two_sharded, scan_knn_multi_sharded, scan_knn_sharded, scan_range_multi_sharded,
+    scan_range_sharded, ShardLayout, ShardedRelation, ShardedScanStats,
 };
 pub use sig::{FilterProbe, SignatureArray, SIG_COEFFS};
 pub use snapshot::{SnapshotEntry, SnapshotError, SnapshotRelation, SnapshotSource};

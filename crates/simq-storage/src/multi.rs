@@ -58,6 +58,24 @@ impl MultiScanStats {
             per_query: vec![ScanStats::default(); n],
         }
     }
+
+    /// Accumulates another batched pass (component-wise; `per_query` is
+    /// matched by index).
+    pub fn add(&mut self, other: &MultiScanStats) {
+        let add = |a: &mut ScanStats, b: &ScanStats| {
+            a.rows_scanned += b.rows_scanned;
+            a.coefficients_compared += b.coefficients_compared;
+            a.early_abandoned += b.early_abandoned;
+        };
+        add(&mut self.merged, &other.merged);
+        if self.per_query.len() < other.per_query.len() {
+            self.per_query
+                .resize(other.per_query.len(), ScanStats::default());
+        }
+        for (a, b) in self.per_query.iter_mut().zip(&other.per_query) {
+            add(a, b);
+        }
+    }
 }
 
 /// Range queries by one shared pass over the frequency-domain relation
@@ -150,7 +168,7 @@ pub fn scan_range_multi(
         for (acc, hits) in out.iter_mut().zip(local_out) {
             acc.extend(hits);
         }
-        merge_stats(&mut stats, &local);
+        stats.add(&local);
     }
     Ok((out, stats))
 }
@@ -234,7 +252,7 @@ pub fn scan_knn_multi(
             for (acc, hits) in out.iter_mut().zip(local_out) {
                 acc.extend(hits);
             }
-            merge_stats(&mut stats, &local);
+            stats.add(&local);
         }
     }
     for (qi, q) in queries.iter().enumerate() {
@@ -247,18 +265,6 @@ pub fn scan_knn_multi(
         out[qi].truncate(q.k);
     }
     Ok((out, stats))
-}
-
-fn merge_stats(acc: &mut MultiScanStats, other: &MultiScanStats) {
-    let add = |a: &mut ScanStats, b: &ScanStats| {
-        a.rows_scanned += b.rows_scanned;
-        a.coefficients_compared += b.coefficients_compared;
-        a.early_abandoned += b.early_abandoned;
-    };
-    add(&mut acc.merged, &other.merged);
-    for (a, b) in acc.per_query.iter_mut().zip(&other.per_query) {
-        add(a, b);
-    }
 }
 
 #[cfg(test)]

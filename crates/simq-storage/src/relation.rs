@@ -47,6 +47,9 @@ pub struct SeriesRelation {
     /// insert breaks density, keeping [`SeriesRelation::row`] O(1) either
     /// way.
     by_id: Option<HashMap<u64, usize>>,
+    /// True while rows are stored in ascending id order (every
+    /// sequentially built relation); lets id-ordered readers skip a sort.
+    ids_ascending: bool,
     /// Quantized filter-tier signatures, position-parallel to `rows`.
     /// Derived data — maintained on every insert, rebuilt on restore,
     /// never persisted.
@@ -72,6 +75,7 @@ impl SeriesRelation {
             rows: Vec::new(),
             next_id: 0,
             by_id: None,
+            ids_ascending: true,
             sigs: SignatureArray::for_series_len(series_len),
         }
     }
@@ -90,6 +94,7 @@ impl SeriesRelation {
         debug_assert!(rows.iter().all(|r| r.raw.len() == series_len));
         let next_id = rows.iter().map(|r| r.id + 1).max().unwrap_or(0);
         let dense = rows.iter().enumerate().all(|(i, r)| r.id == i as u64);
+        let ids_ascending = rows.windows(2).all(|w| w[0].id < w[1].id);
         let by_id = (!dense).then(|| {
             rows.iter()
                 .enumerate()
@@ -110,6 +115,7 @@ impl SeriesRelation {
             rows,
             next_id,
             by_id,
+            ids_ascending,
             sigs,
         }
     }
@@ -181,6 +187,7 @@ impl SeriesRelation {
         }
         let features = self.scheme.extract(&series)?;
         let pos = self.rows.len();
+        self.ids_ascending &= self.rows.last().is_none_or(|r| r.id < id);
         self.sigs.push(&features.spectrum);
         self.rows.push(SeriesRow {
             id,
@@ -234,6 +241,7 @@ impl SeriesRelation {
 
     /// Row access by id — O(1) whether ids are dense (sequential inserts:
     /// position doubles as id) or explicit with gaps (id map).
+    #[inline]
     pub fn row(&self, id: u64) -> Option<&SeriesRow> {
         match &self.by_id {
             Some(map) => map.get(&id).map(|&pos| &self.rows[pos]),
@@ -248,6 +256,26 @@ impl SeriesRelation {
         self.rows.iter()
     }
 
+    /// All rows in id order — insertion order when that is already
+    /// ascending (no sort), sorted otherwise.
+    pub fn rows_by_id(&self) -> Vec<&SeriesRow> {
+        let mut rows: Vec<&SeriesRow> = self.rows.iter().collect();
+        if !self.ids_ascending {
+            rows.sort_by_key(|r| r.id);
+        }
+        rows
+    }
+
+    /// The smallest-id row whose name attribute equals `name`.
+    pub fn first_named(&self, name: &str) -> Option<&SeriesRow> {
+        let mut named = self.rows.iter().filter(|r| r.name == name);
+        if self.ids_ascending {
+            named.next()
+        } else {
+            named.min_by_key(|r| r.id)
+        }
+    }
+
     /// The stored normal-form spectrum of a row.
     pub fn spectrum(&self, id: u64) -> Option<&[Complex]> {
         self.row(id).map(|r| r.features.spectrum.as_slice())
@@ -255,6 +283,7 @@ impl SeriesRelation {
 
     /// The quantized filter-tier signature of a row — O(1), mirroring
     /// [`SeriesRelation::row`]'s dense-or-map lookup.
+    #[inline]
     pub fn signature(&self, id: u64) -> Option<&[f32]> {
         let pos = match &self.by_id {
             Some(map) => *map.get(&id)?,

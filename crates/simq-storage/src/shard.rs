@@ -5,7 +5,9 @@
 //! A [`ShardedRelation`] splits a relation's rows by row id under a
 //! [`ShardLayout`]. Each shard is an ordinary [`SeriesRelation`], so
 //! everything that works on a relation — feature extraction, scans,
-//! index bulk-loading — works per shard unchanged. What sharding buys:
+//! index bulk-loading — works per shard unchanged. Every relation the
+//! query engine stores is a `ShardedRelation`; an unsharded relation is
+//! simply one shard. What several shards buy:
 //!
 //! * **Insert locality** — an insert touches exactly one shard's store
 //!   and one shard's (small) R*-tree instead of one monolithic tree.
@@ -13,29 +15,35 @@
 //!   one task per shard and recombine through the same deterministic
 //!   merge rules the parallel traversals use, so sharded results are
 //!   bitwise identical to unsharded execution (pinned by
-//!   `tests/shard_equivalence.rs`). One caveat: sharding preserves rows'
-//!   per-shard relative order but not a global *insertion* order, so the
-//!   equivalence is stated against the relation's rows in id order —
-//!   identical for every sequentially built relation; a relation
-//!   assembled with out-of-order explicit-id inserts may see asymmetric
-//!   pair scans report the other (equally valid) orientation of a tied
-//!   pair.
+//!   `tests/shard_equivalence.rs`). Id-ordered readers
+//!   ([`ShardedRelation::rows_by_id`], [`ShardedRelation::find_row_named`])
+//!   see the same order at every shard count, so re-sharding never
+//!   changes an answer, even for a relation assembled with out-of-order
+//!   explicit ids.
 //!
-//! The sharded scan entry points here ([`scan_range_sharded`],
-//! [`scan_knn_sharded`], [`scan_all_pairs_two_sharded`]) are the scan
-//! fallbacks of query execution over sharded relations; the index-side
-//! fan-out lives in `simq_index::shard`.
+//! The scan entry points here ([`scan_range_sharded`],
+//! [`scan_knn_sharded`], [`scan_all_pairs_two_sharded`] and the batched
+//! [`scan_range_multi_sharded`] / [`scan_knn_multi_sharded`]) are the
+//! scan paths of query execution at every shard count: one shard runs
+//! the row-chunked parallel scan when `threads > 1`, several shards fan
+//! out one task per shard. The index-side fan-out lives in
+//! `simq_index::shard`.
 
+use crate::multi::{
+    scan_knn_multi, scan_range_multi, MultiScanKnnQuery, MultiScanRangeQuery, MultiScanStats,
+};
 use crate::relation::{SeriesRelation, SeriesRow};
 use crate::scan::{
-    scan_all_pairs_rows_parallel, scan_knn, scan_range, transformed_distance_sq, PairList,
-    ParallelScanStats, ScanHit, ScanStats,
+    scan_all_pairs_rows_parallel, scan_knn, scan_knn_parallel, scan_range, scan_range_parallel,
+    transformed_distance_sq, PairList, ParallelScanStats, ScanHit, ScanStats,
 };
 use simq_dsp::complex::Complex;
+use simq_index::shard::for_each_shard;
 use simq_index::{RTree, RTreeConfig};
 use simq_series::error::SeriesError;
 use simq_series::features::FeatureScheme;
 use simq_series::transform::SeriesTransform;
+use std::borrow::Cow;
 
 /// How row ids map to shards.
 ///
@@ -123,20 +131,32 @@ impl ShardedRelation {
 
     /// Re-partitions an existing relation into `shards` shards. Rows move
     /// bit-for-bit (no feature re-extraction), so every query answer over
-    /// the sharded form is identical to the unsharded one.
+    /// the sharded form is identical to the unsharded one. `shards` ≤ 1
+    /// wraps the relation as the one shard without touching its rows.
     pub fn from_single(relation: SeriesRelation, shards: usize) -> Self {
         let name = relation.name().to_string();
         let series_len = relation.series_len();
         let scheme = relation.scheme().clone();
-        Self::from_parts(
+        let next_id = relation.next_id();
+        if shards <= 1 {
+            return ShardedRelation {
+                name,
+                series_len,
+                scheme,
+                layout: ShardLayout::Hash { shards: 1 },
+                shards: vec![relation],
+                next_id,
+            };
+        }
+        let mut sharded = Self::from_parts(
             name,
             series_len,
             scheme,
-            ShardLayout::Hash {
-                shards: shards.max(1),
-            },
+            ShardLayout::Hash { shards },
             relation.into_rows(),
-        )
+        );
+        sharded.next_id = sharded.next_id.max(next_id);
+        sharded
     }
 
     /// Rebuilds a sharded relation from already-validated rows (the
@@ -213,30 +233,43 @@ impl ShardedRelation {
         })
     }
 
-    /// Merges the shards back into one relation, rows ordered by id.
-    pub fn to_single(&self) -> SeriesRelation {
+    /// The relation as one store: the one shard itself (borrowed), or the
+    /// shards merged with rows ordered by id (the text-export path).
+    pub fn to_single(&self) -> Cow<'_, SeriesRelation> {
+        if let [only] = self.shards.as_slice() {
+            return Cow::Borrowed(only);
+        }
         let mut rows: Vec<SeriesRow> = self.shards.iter().flat_map(|s| s.rows().cloned()).collect();
         rows.sort_by_key(|r| r.id);
-        SeriesRelation::from_validated_parts(
+        Cow::Owned(SeriesRelation::from_validated_parts(
             self.name.clone(),
             self.series_len,
             self.scheme.clone(),
             rows,
-        )
+        ))
     }
 
-    /// Consumes the sharded relation, merging the shards back into one
-    /// relation with rows ordered by id — the re-partitioning path
-    /// ([`crate::shard`] → different shard count) moves every row
-    /// bit-for-bit without cloning raw series or spectra.
-    pub fn into_single(self) -> SeriesRelation {
-        let mut rows: Vec<SeriesRow> = self
-            .shards
-            .into_iter()
-            .flat_map(SeriesRelation::into_rows)
-            .collect();
-        rows.sort_by_key(|r| r.id);
-        SeriesRelation::from_validated_parts(self.name, self.series_len, self.scheme, rows)
+    /// Consumes the sharded relation as one store — the one shard itself,
+    /// or the shards merged with rows ordered by id. The re-partitioning
+    /// path ([`crate::shard`] → different shard count) so moves every row
+    /// bit-for-bit without cloning raw series or spectra. The next-id
+    /// watermark carries over.
+    pub fn into_single(mut self) -> SeriesRelation {
+        let mut single = if self.shards.len() == 1 {
+            self.shards.pop().expect("one shard")
+        } else {
+            let mut rows: Vec<SeriesRow> = self
+                .shards
+                .into_iter()
+                .flat_map(SeriesRelation::into_rows)
+                .collect();
+            rows.sort_by_key(|r| r.id);
+            SeriesRelation::from_validated_parts(self.name, self.series_len, self.scheme, rows)
+        };
+        if let Some(last) = self.next_id.checked_sub(1) {
+            single.note_inserted(last);
+        }
+        single
     }
 
     /// The id the next [`ShardedRelation::insert`] will assign.
@@ -341,20 +374,28 @@ impl ShardedRelation {
         Ok(id)
     }
 
-    /// The shard a row id routes to.
+    /// The shard a row id routes to (0 for a one-shard relation, without
+    /// evaluating the layout).
+    #[inline]
     pub fn shard_of(&self, id: u64) -> usize {
-        self.layout.shard_of(id)
+        if self.shards.len() == 1 {
+            0
+        } else {
+            self.layout.shard_of(id)
+        }
     }
 
     /// Row access by id — one shard lookup.
+    #[inline]
     pub fn row(&self, id: u64) -> Option<&SeriesRow> {
-        self.shards[self.layout.shard_of(id)].row(id)
+        self.shards[self.shard_of(id)].row(id)
     }
 
     /// The quantized filter-tier signature of a row (routed through the
     /// shard layout, same O(1) lookup as [`ShardedRelation::row`]).
+    #[inline]
     pub fn signature(&self, id: u64) -> Option<&[f32]> {
-        self.shards[self.layout.shard_of(id)].signature(id)
+        self.shards[self.shard_of(id)].signature(id)
     }
 
     /// Iterates rows shard-major (shard 0's rows in insertion order, then
@@ -364,14 +405,25 @@ impl ShardedRelation {
         self.shards.iter().flat_map(|s| s.rows())
     }
 
-    /// All rows, sorted by id — the iteration order of the equivalent
-    /// unsharded relation (sequentially built relations store rows in id
-    /// order), used by the pair scans so sharded join output is
-    /// bitwise identical to unsharded.
+    /// All rows in id order — the scan order of every query path at every
+    /// shard count. A one-shard relation whose rows are already in id
+    /// order (every sequentially built one) is not sorted.
     pub fn rows_by_id(&self) -> Vec<&SeriesRow> {
+        if let [only] = self.shards.as_slice() {
+            return only.rows_by_id();
+        }
         let mut rows: Vec<&SeriesRow> = self.rows().collect();
         rows.sort_by_key(|r| r.id);
         rows
+    }
+
+    /// The smallest-id row whose name attribute equals `name` — the same
+    /// row at every shard count.
+    pub fn find_row_named(&self, name: &str) -> Option<&SeriesRow> {
+        self.shards
+            .iter()
+            .filter_map(|s| s.first_named(name))
+            .min_by_key(|r| r.id)
     }
 
     /// Bulk-loads one R*-tree per shard over the shard's feature points.
@@ -383,14 +435,20 @@ impl ShardedRelation {
     }
 }
 
-/// Work counters of one sharded scan: merged totals plus each shard's
-/// share (empty for the pair scans, whose row pairs cross shards).
+/// Work counters of one scan over a sharded relation: merged totals plus
+/// their split. A one-shard relation reports `per_thread` (row-chunked
+/// workers, when `threads > 1`) and no `per_shard`; several shards report
+/// `per_shard` (one entry per shard, except for the pair scans, whose row
+/// pairs cross shards and so split by thread).
 #[derive(Debug, Clone, Default)]
 pub struct ShardedScanStats {
-    /// Totals across all shards — comparable with the unsharded counters.
+    /// Totals across all shards and threads.
     pub merged: ScanStats,
-    /// One entry per shard.
+    /// One entry per shard (empty for one shard and for pair scans).
     pub per_shard: Vec<ScanStats>,
+    /// One entry per worker thread of a row-chunked scan (empty when the
+    /// scan ran serially or fanned out per shard).
+    pub per_thread: Vec<ScanStats>,
 }
 
 impl ShardedScanStats {
@@ -401,58 +459,34 @@ impl ShardedScanStats {
             merged.coefficients_compared += s.coefficients_compared;
             merged.early_abandoned += s.early_abandoned;
         }
-        ShardedScanStats { merged, per_shard }
-    }
-}
-
-/// Runs `work(shard_index)` for every shard, on up to `threads` worker
-/// threads (shard-level parallelism: each shard is one task). Results
-/// come back in shard order regardless of schedule.
-fn for_each_shard<T: Send>(
-    shard_count: usize,
-    threads: usize,
-    work: &(dyn Fn(usize) -> T + Sync),
-) -> Vec<T> {
-    let workers = threads.max(1).min(shard_count.max(1));
-    if workers <= 1 || shard_count <= 1 {
-        return (0..shard_count).map(work).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= shard_count {
-                            break;
-                        }
-                        produced.push((i, work(i)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<T>> = (0..shard_count).map(|_| None).collect();
-        for h in handles {
-            for (i, v) in h.join().expect("shard worker panicked") {
-                slots[i] = Some(v);
-            }
+        ShardedScanStats {
+            merged,
+            per_shard,
+            per_thread: Vec::new(),
         }
-        slots
-    });
-    out.drain(..)
-        .map(|v| v.expect("every shard produced a result"))
-        .collect()
+    }
+
+    fn from_threads(p: ParallelScanStats) -> Self {
+        ShardedScanStats {
+            merged: p.merged,
+            per_shard: Vec::new(),
+            per_thread: p.per_thread,
+        }
+    }
+
+    fn serial(merged: ScanStats) -> Self {
+        ShardedScanStats {
+            merged,
+            ..ShardedScanStats::default()
+        }
+    }
 }
 
-/// Range query over a sharded relation: every shard is scanned by the
-/// exact serial code ([`scan_range`]) and the hit lists concatenate in
-/// shard order. With `threads > 1` shards scan in parallel (one task per
-/// shard); the result is identical either way.
+/// Range query over a sharded relation. One shard runs the row-chunked
+/// [`scan_range_parallel`] when `threads > 1` and [`scan_range`]
+/// otherwise; several shards are each scanned by [`scan_range`] (one task
+/// per shard on up to `threads` workers) and the hit lists concatenate in
+/// shard order. The hit set is identical either way.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -464,6 +498,16 @@ pub fn scan_range_sharded(
     early_abandon: bool,
     threads: usize,
 ) -> Result<(Vec<ScanHit>, ShardedScanStats), SeriesError> {
+    if let [only] = relation.shards() {
+        return if threads > 1 {
+            let (hits, p) =
+                scan_range_parallel(only, transform, query_spectrum, eps, early_abandon, threads)?;
+            Ok((hits, ShardedScanStats::from_threads(p)))
+        } else {
+            let (hits, s) = scan_range(only, transform, query_spectrum, eps, early_abandon)?;
+            Ok((hits, ShardedScanStats::serial(s)))
+        };
+    }
     // Surface transformation errors once, before fanning out.
     let n = relation.series_len();
     transform.action(n, n.saturating_sub(1))?;
@@ -488,14 +532,15 @@ pub fn scan_range_sharded(
 
 /// kNN query over a sharded relation.
 ///
-/// Serially, each shard runs the exact [`scan_knn`] and the per-shard
-/// top-`k` lists merge by `(distance, id)` — any global top-`k` row is in
-/// its shard's top-`k`, so the merge loses nothing. With `threads > 1`
-/// the shards scan concurrently under one shared atomic bound on the
-/// `k`-th best distance (the same mechanism as
-/// [`scan_knn_parallel`](crate::scan::scan_knn_parallel)), abandoning
-/// rows that provably cannot enter the answer. Both paths return results
-/// bitwise identical to the unsharded scan.
+/// One shard runs [`scan_knn_parallel`] when `threads > 1` and
+/// [`scan_knn`] otherwise. Over several shards, serially, each shard runs
+/// the exact [`scan_knn`] and the per-shard top-`k` lists merge by
+/// `(distance, id)` — any global top-`k` row is in its shard's top-`k`,
+/// so the merge loses nothing. With `threads > 1` the shards scan
+/// concurrently under one shared atomic bound on the `k`-th best distance
+/// (the same mechanism as [`scan_knn_parallel`]), abandoning rows that
+/// provably cannot enter the answer. Every path returns results bitwise
+/// identical to the unsharded serial scan.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -508,6 +553,15 @@ pub fn scan_knn_sharded(
 ) -> Result<(Vec<ScanHit>, ShardedScanStats), SeriesError> {
     use simq_index::parallel::AtomicF64Min;
 
+    if let [only] = relation.shards() {
+        return if threads > 1 {
+            let (hits, p) = scan_knn_parallel(only, transform, query_spectrum, k, threads)?;
+            Ok((hits, ShardedScanStats::from_threads(p)))
+        } else {
+            let (hits, s) = scan_knn(only, transform, query_spectrum, k)?;
+            Ok((hits, ShardedScanStats::serial(s)))
+        };
+    }
     let n = relation.series_len();
     let action = transform.action(n, n.saturating_sub(1))?;
     if k == 0 {
@@ -575,24 +629,16 @@ pub fn scan_knn_sharded(
         all.extend(kept);
         per_shard.push(s);
     }
-    all.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
+    sort_hits(&mut all);
     all.truncate(k);
     Ok((all, ShardedScanStats::from_shards(per_shard)))
 }
 
-/// All-pairs scan over a sharded relation: the rows of every shard,
-/// flattened in id order (the scan order of every sequentially built
-/// relation), run through the exact pair-scan machinery — output and
-/// distances are bitwise identical to
-/// [`crate::scan::scan_all_pairs_two`] on the merged relation. Pair work
-/// crosses shards, so parallelism is row-chunked (not shard-fanned) and
-/// the stats carry per-worker-thread shares, as for the unsharded
-/// parallel scan.
+/// All-pairs scan over a sharded relation: the rows in id order (the
+/// scan order at every shard count), run through the exact pair-scan
+/// machinery. Pair work crosses shards, so parallelism is row-chunked
+/// (not shard-fanned) and, with `threads > 1`, the stats carry
+/// per-worker-thread shares.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -603,9 +649,9 @@ pub fn scan_all_pairs_two_sharded(
     eps: f64,
     early_abandon: bool,
     threads: usize,
-) -> Result<(PairList, ParallelScanStats), SeriesError> {
+) -> Result<(PairList, ShardedScanStats), SeriesError> {
     let rows = relation.rows_by_id();
-    scan_all_pairs_rows_parallel(
+    let (pairs, p) = scan_all_pairs_rows_parallel(
         &rows,
         relation.series_len(),
         left,
@@ -613,7 +659,75 @@ pub fn scan_all_pairs_two_sharded(
         eps,
         early_abandon,
         threads,
-    )
+    )?;
+    let stats = if threads > 1 {
+        ShardedScanStats::from_threads(p)
+    } else {
+        ShardedScanStats::serial(p.merged)
+    };
+    Ok((pairs, stats))
+}
+
+/// Batched range scans over a sharded relation: one shared pass
+/// ([`scan_range_multi`]) per shard, per-query hit lists concatenated in
+/// shard order.
+///
+/// # Errors
+/// Transformation-domain errors from any query in the batch.
+pub fn scan_range_multi_sharded(
+    relation: &ShardedRelation,
+    queries: &[MultiScanRangeQuery],
+    early_abandon: bool,
+    threads: usize,
+) -> Result<(Vec<Vec<ScanHit>>, MultiScanStats), SeriesError> {
+    let mut out: Vec<Vec<ScanHit>> = vec![Vec::new(); queries.len()];
+    let mut stats = MultiScanStats::default();
+    for shard in relation.shards() {
+        let (hits, s) = scan_range_multi(shard, queries, early_abandon, threads)?;
+        for (acc, h) in out.iter_mut().zip(hits) {
+            acc.extend(h);
+        }
+        stats.add(&s);
+    }
+    Ok((out, stats))
+}
+
+/// Batched kNN scans over a sharded relation: one shared pass
+/// ([`scan_knn_multi`]) per shard; per-query shard top-`k` lists merged by
+/// `(distance, id)` and truncated back to `k` — any global top-`k` row is
+/// in its shard's top-`k`, so the merge loses nothing.
+///
+/// # Errors
+/// Transformation-domain errors from any query in the batch.
+pub fn scan_knn_multi_sharded(
+    relation: &ShardedRelation,
+    queries: &[MultiScanKnnQuery],
+    threads: usize,
+) -> Result<(Vec<Vec<ScanHit>>, MultiScanStats), SeriesError> {
+    let mut out: Vec<Vec<ScanHit>> = vec![Vec::new(); queries.len()];
+    let mut stats = MultiScanStats::default();
+    for shard in relation.shards() {
+        let (hits, s) = scan_knn_multi(shard, queries, threads)?;
+        for (acc, h) in out.iter_mut().zip(hits) {
+            acc.extend(h);
+        }
+        stats.add(&s);
+    }
+    for (q, acc) in queries.iter().zip(out.iter_mut()) {
+        sort_hits(acc);
+        acc.truncate(q.k);
+    }
+    Ok((out, stats))
+}
+
+/// The engine's deterministic hit order: `(distance, id)`.
+fn sort_hits(hits: &mut [ScanHit]) {
+    hits.sort_by(|a, b| {
+        a.distance
+            .partial_cmp(&b.distance)
+            .expect("finite distances")
+            .then(a.id.cmp(&b.id))
+    });
 }
 
 #[cfg(test)]

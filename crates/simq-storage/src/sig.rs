@@ -100,6 +100,7 @@ impl SignatureArray {
     }
 
     /// The signature at row position `pos` (interleaved re/im pairs).
+    #[inline]
     pub fn row(&self, pos: usize) -> Option<&[f32]> {
         let w = 2 * self.coeffs;
         let start = pos.checked_mul(w)?;

@@ -123,6 +123,19 @@ impl SnapshotEntry {
             SnapshotEntry::Sharded { .. } => None,
         }
     }
+
+    /// The entry as the engine stores every relation: a sharded relation
+    /// plus its per-shard trees. An unsharded entry becomes one shard
+    /// (rows untouched), its tree — if saved — the one tree.
+    pub fn into_sharded(self) -> (ShardedRelation, Vec<RTree>) {
+        match self {
+            SnapshotEntry::Single(s) => (
+                ShardedRelation::from_single(s.relation, 1),
+                s.index.into_iter().collect(),
+            ),
+            SnapshotEntry::Sharded { relation, indexes } => (relation, indexes),
+        }
+    }
 }
 
 /// One catalog entry to encode: borrowed views over the in-memory forms.
@@ -133,6 +146,18 @@ pub enum SnapshotSource<'a> {
     /// A sharded relation with its per-shard trees (one per shard, in
     /// shard order).
     Sharded(&'a ShardedRelation, &'a [RTree]),
+}
+
+impl<'a> SnapshotSource<'a> {
+    /// How a relation with its trees (none, or one per shard) is written:
+    /// one shard as a [`SnapshotSource::Single`] entry, several as a
+    /// [`SnapshotSource::Sharded`] one.
+    pub fn of(relation: &'a ShardedRelation, indexes: &'a [RTree]) -> Self {
+        match relation.shards() {
+            [only] => SnapshotSource::Single(only, indexes.first()),
+            _ => SnapshotSource::Sharded(relation, indexes),
+        }
+    }
 }
 
 /// Encodes a catalog of unsharded relations (with optional indexes) into

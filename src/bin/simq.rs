@@ -1331,12 +1331,10 @@ fn shell_command(
             let db = session.db();
             for name in db.relation_names() {
                 let stored = db.relation(name).expect("listed relation exists");
-                let index = match stored {
-                    StoredRelation::Single { index: Some(_), .. } => "R*-tree".to_string(),
-                    StoredRelation::Single { index: None, .. } => "none".to_string(),
-                    StoredRelation::Sharded { relation, .. } => {
-                        format!("{} × R*-tree (one per shard)", relation.shard_count())
-                    }
+                let index = match (stored.has_index(), stored.shard_count()) {
+                    (false, _) => "none".to_string(),
+                    (true, 1) => "R*-tree".to_string(),
+                    (true, n) => format!("{n} × R*-tree (one per shard)"),
                 };
                 let counts = stored.shard_row_counts();
                 let shards = if counts.len() > 1 {
@@ -1537,18 +1535,19 @@ fn save_snapshot(db: &Database, path: &str) {
 
 /// Writes one relation as v2 text.
 fn export_relation(db: &Database, name: &str, path: &str) {
-    match db.relation(name) {
-        Some(StoredRelation::Single { relation, .. }) => match persist::save(relation, path) {
-            Ok(()) => println!("exported {name} to {path}"),
-            Err(e) => println!("export failed: {e}"),
-        },
-        // Text export is the unsharded interchange path: merge in id order.
-        Some(StoredRelation::Sharded { relation, .. }) => {
-            match persist::save(&relation.to_single(), path) {
-                Ok(()) => println!("exported {name} to {path} (shards merged)"),
-                Err(e) => println!("export failed: {e}"),
-            }
-        }
-        None => println!("unknown relation {name:?}"),
+    let Some(stored) = db.relation(name) else {
+        println!("unknown relation {name:?}");
+        return;
+    };
+    // Text export is the unsharded interchange path: shards merge in id
+    // order.
+    let merged = if stored.shard_count() > 1 {
+        " (shards merged)"
+    } else {
+        ""
+    };
+    match persist::save(&stored.relation().to_single(), path) {
+        Ok(()) => println!("exported {name} to {path}{merged}"),
+        Err(e) => println!("export failed: {e}"),
     }
 }

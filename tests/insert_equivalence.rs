@@ -173,10 +173,11 @@ fn per_insert_node_cost_is_bounded_rebuild_is_not() {
     // A rebuild of the same 150 points materializes the entire arena —
     // an order of magnitude beyond the worst incremental step.
     let stored = db.relation("r").unwrap();
-    let similarity_queries::query::StoredRelation::Single { relation, .. } = stored else {
-        panic!("unsharded fixture");
-    };
-    let rebuilt = relation.build_index(RTreeConfig::default());
+    assert_eq!(stored.shard_count(), 1, "unsharded fixture");
+    let rebuilt = stored
+        .relation()
+        .shard(0)
+        .build_index(RTreeConfig::default());
     assert!(
         rebuilt.nodes_built() > 5 * max_delta,
         "rebuild materialized {} nodes, worst insert {max_delta}",

@@ -18,7 +18,6 @@ mod common;
 use common::{assert_outputs_bitwise_equal, corpus, relation_with};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
-use similarity_queries::query::StoredRelation;
 
 /// The query forms the equivalence contract covers (row 0 always exists).
 fn query_matrix() -> Vec<String> {
@@ -277,12 +276,9 @@ fn inserts_into_sharded_relations_stay_queryable() {
     }
     let stored = db.relation("r").unwrap();
     assert_eq!(stored.row_count(), 48);
-    if let StoredRelation::Sharded { relation, indexes } = stored {
-        for (shard, tree) in relation.shards().iter().zip(indexes) {
-            assert_eq!(shard.len(), tree.len(), "tree tracks its shard");
-        }
-    } else {
-        panic!("expected sharded relation");
+    assert!(stored.shard_count() > 1, "expected sharded relation");
+    for (shard, tree) in stored.relation().shards().iter().zip(stored.indexes()) {
+        assert_eq!(shard.len(), tree.len(), "tree tracks its shard");
     }
 
     // The inserted rows are found by index-served queries, identically to
@@ -386,9 +382,8 @@ fn same_shape_reshard_is_a_noop() {
         generation,
         "same-shape reshard must not invalidate plans"
     );
-    let StoredRelation::Sharded { relation, .. } = sharded.relation("r").unwrap() else {
-        panic!("still sharded");
-    };
+    let relation = sharded.relation("r").unwrap().relation();
+    assert!(relation.shard_count() > 1, "still sharded");
     assert_eq!(relation.shard_count(), 4);
 
     // A single relation that already has its one index: `\shard r 1`
@@ -399,4 +394,66 @@ fn same_shape_reshard_is_a_noop() {
     let generation = single.generation();
     single.shard_relation("r", 1).unwrap();
     assert_eq!(single.generation(), generation);
+}
+
+/// Row order is id order at every shard count: a relation loaded from a
+/// v2 text file with out-of-order explicit ids and a duplicated row name
+/// answers a by-name query and an asymmetric scan join identically at 1
+/// and 4 shards, and after re-sharding 4 → 1.
+#[test]
+fn out_of_order_ids_answer_identically_at_every_shard_count() {
+    let series = corpus(31, 24, 64);
+    let ids: Vec<u64> = (0..24u64).map(|i| (i * 7 + 5) % 24).collect();
+    let mut built = SeriesRelation::new("r", 64, FeatureScheme::paper_default());
+    for (i, (s, &id)) in series.iter().zip(&ids).enumerate() {
+        // The first-inserted "dup" has the larger id.
+        let name = if id == 12 || id == 3 {
+            "dup".to_string()
+        } else {
+            format!("S{i}")
+        };
+        built.insert_with_id(id, name, s.clone()).unwrap();
+    }
+    let text = similarity_queries::storage::persist::to_string(&built);
+    let rel = similarity_queries::storage::persist::from_str(&text).expect("v2 text loads");
+    assert_eq!(rel.rows().next().map(|r| r.id), Some(ids[0]));
+
+    let mut one = Database::new();
+    one.add_relation_indexed(rel.clone());
+    let mut four = Database::new();
+    four.add_relation_sharded(rel, 4);
+    let mut resharded = four.clone();
+    resharded
+        .shard_relation("r", 1)
+        .expect("merge back to one shard");
+
+    let by_name = "FIND 5 NEAREST TO NAME dup IN r";
+    let asymmetric = "FIND PAIRS IN r USING mavg(5) ON ONE EPSILON 6.0 METHOD b";
+    for q in [by_name, asymmetric] {
+        for threads in [1usize, 4] {
+            let p = if threads == 1 {
+                Parallelism::Serial
+            } else {
+                Parallelism::Fixed(threads)
+            };
+            for db in [&mut one, &mut four, &mut resharded] {
+                db.set_parallelism(p);
+            }
+            let a = execute(&one, q).unwrap();
+            let b = execute(&four, q).unwrap();
+            let c = execute(&resharded, q).unwrap();
+            assert_outputs_bitwise_equal(
+                &a,
+                &b,
+                &format!("1 vs 4 shards: {q} (threads {threads})"),
+            );
+            assert_outputs_bitwise_equal(&a, &c, &format!("4 → 1 shards: {q} (threads {threads})"));
+            match &a.output {
+                QueryOutput::Hits(h) => assert_eq!(h[0].id, 3, "the smallest-id dup is the query"),
+                QueryOutput::Pairs(p) => assert!(!p.is_empty(), "the join finds pairs"),
+                other => panic!("unexpected output {other:?}"),
+            }
+        }
+    }
+    assert_dbs_agree(&mut one, &mut four, "out-of-order ids");
 }

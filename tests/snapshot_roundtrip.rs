@@ -300,3 +300,102 @@ fn open_snapshot_preserves_tree_structure_not_rebuilds() {
     // incremental original instead.
     assert_eq!(serial::to_bytes(back), inc_bytes);
 }
+
+/// A snapshot written by the engine before every relation became a
+/// `ShardedRelation`: an indexed unsharded relation (`indexed`), an
+/// unindexed one with out-of-order explicit ids and a duplicated row name
+/// (`plain`), and a 4-shard one (`sharded`).
+const CATALOG_V2: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/catalog_v2.simq"
+);
+
+/// The committed snapshot still opens with its layout, answers every
+/// query as `FORCE SCAN` does, re-saves byte for byte, and checkpoints
+/// its unsharded relations as `sharded = 0` manifest entries that reopen
+/// as one shard.
+#[test]
+fn committed_snapshot_reopens_answers_and_resaves_byte_identical() {
+    let original = std::fs::read(CATALOG_V2).expect("fixture present");
+    let db = Database::open_snapshot(CATALOG_V2).expect("fixture opens");
+    let layout: Vec<(&str, usize, bool, usize)> = db
+        .relation_names()
+        .into_iter()
+        .map(|n| {
+            let s = db.relation(n).unwrap();
+            (n, s.shard_count(), s.has_index(), s.row_count())
+        })
+        .collect();
+    assert_eq!(
+        layout,
+        [
+            ("indexed", 1, true, 16),
+            ("plain", 1, false, 12),
+            ("sharded", 4, true, 20)
+        ]
+    );
+    // Physical row order survives: `plain` was inserted id 7 first.
+    let plain = db.relation("plain").unwrap();
+    assert_eq!(plain.rows().next().map(|r| r.id), Some(7));
+    assert_eq!(plain.find_row_named("dup").map(|r| r.id), Some(3));
+
+    for rel in ["indexed", "plain", "sharded"] {
+        for q in [
+            format!("FIND SIMILAR TO ROW 3 IN {rel} EPSILON 4.0"),
+            format!("FIND SIMILAR TO ROW 1 IN {rel} USING mavg(4) ON BOTH EPSILON 3.0"),
+            format!("FIND 5 NEAREST TO ROW 2 IN {rel}"),
+        ] {
+            let planned = execute(&db, &q).unwrap();
+            let scanned = execute(&db, &format!("{q} FORCE SCAN")).unwrap();
+            assert_outputs_bitwise_equal(&planned, &scanned, &q);
+        }
+    }
+    for rel in ["indexed", "sharded"] {
+        let probe = execute(&db, &format!("FIND PAIRS IN {rel} EPSILON 5.0 METHOD d")).unwrap();
+        let scan = execute(&db, &format!("FIND PAIRS IN {rel} EPSILON 5.0 METHOD b")).unwrap();
+        let (QueryOutput::Pairs(a), QueryOutput::Pairs(b)) = (&probe.output, &scan.output) else {
+            panic!("expected pairs");
+        };
+        assert!(!a.is_empty(), "{rel}: the join finds pairs");
+        assert_eq!(a.len(), b.len(), "{rel}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((x.a, x.b), (y.a, y.b), "{rel}");
+            assert!((x.distance - y.distance).abs() < 1e-9, "{rel}");
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("simq-fixture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let resaved = dir.join("catalog.simq");
+    db.save_snapshot(&resaved).unwrap();
+    assert!(
+        std::fs::read(&resaved).unwrap() == original,
+        "re-saved snapshot differs from the committed one"
+    );
+
+    let mut durable = db.clone();
+    let wal = dir.join("wal");
+    durable.attach_wal(&wal).expect("checkpoint writes");
+    let (store, _, _) = similarity_queries::storage::DurableDir::open(&wal).unwrap();
+    let sharded_flags: Vec<(&str, bool, usize)> = store
+        .manifest()
+        .entries
+        .iter()
+        .map(|e| (e.name.as_str(), e.sharded, e.shard_epochs.len()))
+        .collect();
+    assert_eq!(
+        sharded_flags,
+        [
+            ("indexed", false, 1),
+            ("plain", false, 1),
+            ("sharded", true, 4)
+        ]
+    );
+    let (reopened, _) = Database::open_durable(&wal).unwrap();
+    for name in ["indexed", "plain", "sharded"] {
+        let (a, b) = (db.relation(name).unwrap(), reopened.relation(name).unwrap());
+        assert_eq!(a.shard_count(), b.shard_count(), "{name}");
+        assert_eq!(a.has_index(), b.has_index(), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
